@@ -29,7 +29,6 @@ from .continuation import (
 from .geometry import (
     EXTERIOR,
     REFUGE,
-    FieldBlock,
     Grid,
     Region,
     ScalarField,
@@ -69,7 +68,6 @@ __all__ = [
     "ContinuationOptions",
     "Diffusion",
     "EXTERIOR",
-    "FieldBlock",
     "Grid",
     "ModelParams",
     "NewtonOptions",

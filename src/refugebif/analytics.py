@@ -78,7 +78,10 @@ def branch_slope(grid: Grid, params: ModelParams) -> float:
     """d(mu)/ds of the bifurcating branch at onset; always negative."""
     if grid.n_exterior == 0:
         raise GeometryError("exterior region is empty")
-    kern = kernel_profile(grid, params)
+    return _slope(grid, params, kernel_profile(grid, params))
+
+
+def _slope(grid: Grid, params: ModelParams, kern: ScalarField) -> float:
     area = grid.n_exterior * grid.cell_area
     saturation = (1.0 + params.m * params.lam) ** 2
     return -params.c / (area * saturation) * integrate(kern, Region.EXTERIOR)
@@ -94,10 +97,11 @@ def onset_transversality(grid: Grid, params: ModelParams) -> float:
 
 def bifurcation_data(grid: Grid, params: ModelParams) -> BifurcationData:
     """Bundle of onset quantities for one variant (used to seed continuation)."""
+    kern = kernel_profile(grid, params)
     return BifurcationData(
         mu_lambda=bifurcation_point(params),
-        kernel_profile=kernel_profile(grid, params),
-        slope_at_onset=branch_slope(grid, params),
+        kernel_profile=kern,
+        slope_at_onset=_slope(grid, params, kern),
         omega1_area=grid.n_exterior * grid.cell_area,
     )
 

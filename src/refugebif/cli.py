@@ -132,52 +132,28 @@ def _branch_series(branch: continuation.Branch) -> svgplot.Series:
     )
 
 
-def _trace_lambda(cfg: RunConfig, lam: float, variants, quiet):
-    branches = []
-    for variant in variants:
-        params = replace(cfg.params, lam=lam, variant=variant)
-        branch = continuation.trace_branch(
-            cfg.grid, params, cfg.mu_min, cfg.continuation
-        )
-        branches.append(branch)
-        _say(
-            quiet,
-            f"traced {variant.value} branch at lambda={lam:g}: "
-            f"{len(branch.points)} points, mu in "
-            f"[{branch.points[-1].mu:g}, {branch.points[0].mu:g}]"
-            + (f" (truncated: {branch.diagnostic})" if branch.truncated else ""),
-        )
-    return branches
-
-
-def run_trace(cfg: RunConfig, variants, quiet=False) -> None:
-    out = Path(cfg.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
-    branches = _trace_lambda(cfg, cfg.params.lam, variants, quiet)
-    for branch in branches:
-        path = _write_branch(out, branch)
-        _say(quiet, f"wrote {path}")
-    if cfg.output.emit_svg:
-        panel = svgplot.Panel(
-            title=f"lambda = {fmt(cfg.params.lam)}",
-            series=tuple(_branch_series(b) for b in branches),
-            x_label="mu",
-            y_label="average v",
-        )
-        (out / "trace.svg").write_text(svgplot.render([panel]))
-        _say(quiet, f"wrote {out / 'trace.svg'}")
-
-
-def run_reproduce_fig1(cfg: RunConfig, variants, quiet=False) -> None:
+def _run_branches(cfg: RunConfig, lambdas, variants, svg_name: str, quiet) -> None:
+    """Trace, write and plot one branch per variant for each lambda."""
     out = Path(cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     panels = []
-    for lam in FIG1_LAMBDAS:
-        cfg_lam = replace(cfg, params=replace(cfg.params, c=1.0, m=1.0))
-        branches = _trace_lambda(cfg_lam, lam, variants, quiet)
+    for lam in lambdas:
+        branches = []
+        for variant in variants:
+            params = replace(cfg.params, lam=lam, variant=variant)
+            branch = continuation.trace_branch(
+                cfg.grid, params, cfg.mu_min, cfg.continuation
+            )
+            branches.append(branch)
+            _say(
+                quiet,
+                f"traced {variant.value} branch at lambda={lam:g}: "
+                f"{len(branch.points)} points, mu in "
+                f"[{branch.points[-1].mu:g}, {branch.points[0].mu:g}]"
+                + (f" (truncated: {branch.diagnostic})" if branch.truncated else ""),
+            )
         for branch in branches:
-            path = _write_branch(out, branch)
-            _say(quiet, f"wrote {path}")
+            _say(quiet, f"wrote {_write_branch(out, branch)}")
         panels.append(
             svgplot.Panel(
                 title=f"lambda = {fmt(lam)}",
@@ -187,8 +163,17 @@ def run_reproduce_fig1(cfg: RunConfig, variants, quiet=False) -> None:
             )
         )
     if cfg.output.emit_svg:
-        (out / "fig1.svg").write_text(svgplot.render(panels))
-        _say(quiet, f"wrote {out / 'fig1.svg'}")
+        (out / svg_name).write_text(svgplot.render(panels))
+        _say(quiet, f"wrote {out / svg_name}")
+
+
+def run_trace(cfg: RunConfig, variants, quiet=False) -> None:
+    _run_branches(cfg, (cfg.params.lam,), variants, "trace.svg", quiet)
+
+
+def run_reproduce_fig1(cfg: RunConfig, variants, quiet=False) -> None:
+    paper = replace(cfg, params=replace(cfg.params, c=1.0, m=1.0))
+    _run_branches(paper, FIG1_LAMBDAS, variants, "fig1.svg", quiet)
 
 
 def _initial_state(cfg: RunConfig) -> State:
@@ -222,7 +207,7 @@ def run_simulate(cfg: RunConfig, variants, quiet=False) -> None:
         rows = [_sim_row(0.0, initial, 0.0)]
         n_slots = cfg.grid.n_cells + cfg.grid.n_exterior
         clamped_total = 0
-        every = max(1, cfg.output.snapshot_every)
+        every = cfg.output.snapshot_every
 
         def observer(k, t, state, clamped):
             nonlocal clamped_total

@@ -8,13 +8,15 @@ partial results behind.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+import sys
+from dataclasses import dataclass, fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
 
 from .continuation import ContinuationOptions
 from .errors import ConfigError
 from .geometry import Grid, build_grid
-from .model import Diffusion, ModelParams
+from .model import ModelParams
 from .newton import NewtonOptions
 from .timestepping import TimeOptions
 
@@ -22,6 +24,8 @@ DEFAULT_REFUGE_BOX = (0.375, 0.375, 0.625, 0.625)
 DEFAULT_MU_MIN = 1e-3
 
 _TOP_KEYS = {"geometry", "params", "newton", "continuation", "time", "output"}
+# option fields read under another config key
+_RENAMED = {"lam": "lambda", "u": "initial_u", "v": "initial_v"}
 
 
 @dataclass(frozen=True)
@@ -37,6 +41,10 @@ class OutputConfig:
     directory: str = "out"
     emit_svg: bool = True
     snapshot_every: int = 50
+
+    def __post_init__(self):
+        if not self.snapshot_every >= 1:
+            raise ConfigError("'output.snapshot_every' must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -57,113 +65,83 @@ def _check_keys(block: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in '{where}' block")
 
 
-def _number(block: dict, key: str, default, where: str, kind=float):
-    value = block.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'{where}.{key}' must be a number, got {value!r}") from exc
+def _value(raw, default, where: str):
+    """``raw`` checked to be of the type of ``default``, converted to it.
+
+    Integers must be integral, booleans JSON booleans and numbers finite;
+    nothing is coerced.
+    """
+    kind = type(default)
+    if issubclass(kind, Enum):
+        try:
+            return kind(raw)
+        except ValueError:
+            choices = " or ".join(repr(e.value) for e in kind)
+            raise ConfigError(f"'{where}' must be {choices}, got {raw!r}") from None
+    if kind in (bool, str):
+        if type(raw) is not kind:
+            name = "boolean" if kind is bool else "string"
+            raise ConfigError(f"'{where}' must be a {name}, got {raw!r}")
+        return raw
+    if (
+        isinstance(raw, bool)
+        or not isinstance(raw, (int, float))
+        or not abs(raw) <= sys.float_info.max
+    ):
+        raise ConfigError(f"'{where}' must be a finite number, got {raw!r}")
+    if kind is int and raw != int(raw):
+        raise ConfigError(f"'{where}' must be an integer, got {raw!r}")
+    return kind(raw)
+
+
+def _read(block: dict, where: str, defaults: dict) -> dict:
+    """Override ``defaults`` (name -> option dataclass or plain value) from one block.
+
+    A plain value is read under its name, a dataclass's scalar fields under
+    theirs or their ``_RENAMED`` key.  Each default fixes the type its value
+    must have.
+    """
+    slots = {}  # config key -> (defaults name, field name or None, default)
+    for name, default in defaults.items():
+        if not is_dataclass(default):
+            slots[name] = (name, None, default)
+            continue
+        for f in fields(default):
+            value = getattr(default, f.name)
+            if isinstance(value, (int, float, str, Enum)):
+                slots[_RENAMED.get(f.name, f.name)] = (name, f.name, value)
+    _check_keys(block, set(slots), where)
+    changes = {name: {} for name in defaults}
+    for key, raw in block.items():
+        name, attr, default = slots[key]
+        changes[name][attr] = _value(raw, default, f"{where}.{key}")
+    return {
+        name: replace(default, **changes[name])
+        if is_dataclass(default)
+        else changes[name].get(None, default)
+        for name, default in defaults.items()
+    }
 
 
 def _geometry(block: dict) -> Grid:
     _check_keys(block, {"n", "n_x", "n_y", "domain_length", "refuge_box"}, "geometry")
     if "n" in block and ("n_x" in block or "n_y" in block):
         raise ConfigError("'geometry' takes either 'n' or 'n_x'/'n_y', not both")
-    n_x = _number(block, "n_x", block.get("n", 64), "geometry", int)
-    n_y = _number(block, "n_y", n_x, "geometry", int)
+    n = _value(block.get("n", 64), 0, "geometry.n")
+    n_x = _value(block.get("n_x", n), 0, "geometry.n_x")
+    n_y = _value(block.get("n_y", n_x), 0, "geometry.n_y")
     length = block.get("domain_length", 1.0)
-    if isinstance(length, (int, float)):
-        length = (float(length), float(length))
-    elif isinstance(length, (list, tuple)) and len(length) == 2:
-        length = (float(length[0]), float(length[1]))
-    else:
+    if not isinstance(length, (list, tuple)):
+        length = (length, length)
+    elif len(length) != 2:
         raise ConfigError("'geometry.domain_length' must be a number or a pair")
+    length = tuple(_value(c, 0.0, "geometry.domain_length") for c in length)
     box = block.get("refuge_box", DEFAULT_REFUGE_BOX)
     if box is not None:
         if not (isinstance(box, (list, tuple)) and len(box) == 4):
             raise ConfigError("'geometry.refuge_box' must be null or [x0, y0, x1, y1]")
-        box = tuple(float(c) for c in box)
+        box = tuple(_value(c, 0.0, "geometry.refuge_box") for c in box)
     return build_grid(n_x, n_y, domain_length=length, refuge_box=box)
-
-
-def _params(block: dict) -> ModelParams:
-    _check_keys(block, {"lambda", "mu", "c", "m", "b", "d", "variant"}, "params")
-    variant = block.get("variant", "nonlinear")
-    try:
-        variant = Diffusion(variant)
-    except ValueError as exc:
-        raise ConfigError(
-            f"'params.variant' must be 'nonlinear' or 'linear', got {variant!r}"
-        ) from exc
-    return ModelParams(
-        lam=_number(block, "lambda", 1.0, "params"),
-        mu=_number(block, "mu", 0.4, "params"),
-        c=_number(block, "c", 1.0, "params"),
-        m=_number(block, "m", 1.0, "params"),
-        b=_number(block, "b", 1.0, "params"),
-        d=_number(block, "d", 1.0, "params"),
-        variant=variant,
-    )
-
-
-def _options(block: dict, cls, where: str, int_keys=()):
-    allowed = {f.name for f in fields(cls)}
-    _check_keys(block, allowed, where)
-    kwargs = {}
-    for key, value in block.items():
-        kind = int if key in int_keys else float
-        kwargs[key] = _number(block, key, value, where, kind)
-    return cls(**kwargs)
-
-
-def _time_block(block: dict) -> tuple[TimeOptions, InitialData]:
-    allowed = {"dt", "t_max", "steady_tol", "clamp_negative", "initial_u", "initial_v"}
-    _check_keys(block, allowed, "time")
-    initial = InitialData(
-        u=_number(block, "initial_u", InitialData.u, "time"),
-        v=_number(block, "initial_v", InitialData.v, "time"),
-    )
-    opts = TimeOptions(
-        dt=_number(block, "dt", TimeOptions.dt, "time"),
-        t_max=_number(block, "t_max", TimeOptions.t_max, "time"),
-        steady_tol=_number(block, "steady_tol", TimeOptions.steady_tol, "time"),
-        clamp_negative=bool(block.get("clamp_negative", TimeOptions.clamp_negative)),
-    )
-    return opts, initial
-
-
-def _continuation_block(block: dict) -> tuple[ContinuationOptions, float]:
-    allowed = {
-        "mu_min",
-        "ds_initial_factor",
-        "ds_max_factor",
-        "ds_min",
-        "seed_avg_v_factor",
-        "grow_iters",
-        "max_points",
-    }
-    _check_keys(block, allowed, "continuation")
-    mu_min = _number(block, "mu_min", DEFAULT_MU_MIN, "continuation")
-    kwargs = {}
-    for key in allowed - {"mu_min"}:
-        if key in block:
-            kind = int if key in ("grow_iters", "max_points") else float
-            kwargs[key] = _number(block, key, block[key], "continuation", kind)
-    return ContinuationOptions(**kwargs), mu_min
-
-
-def _output(block: dict) -> OutputConfig:
-    _check_keys(block, {"directory", "emit_svg", "snapshot_every"}, "output")
-    directory = block.get("directory", OutputConfig.directory)
-    if not isinstance(directory, str):
-        raise ConfigError("'output.directory' must be a string")
-    return OutputConfig(
-        directory=directory,
-        emit_svg=bool(block.get("emit_svg", OutputConfig.emit_svg)),
-        snapshot_every=_number(
-            block, "snapshot_every", OutputConfig.snapshot_every, "output", int
-        ),
-    )
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -175,24 +153,21 @@ def parse_config(data: dict) -> RunConfig:
         if name in data and not isinstance(data[name], dict):
             raise ConfigError(f"'{name}' block must be a JSON object")
     grid = _geometry(data.get("geometry", {}))
-    params = _params(data.get("params", {}))
-    newton = _options(data.get("newton", {}), NewtonOptions, "newton", int_keys=("max_iters",))
-    cont, mu_min = _continuation_block(data.get("continuation", {}))
+    # block -> the RunConfig fields it sets, with their defaults
+    blocks = {
+        "params": {"params": ModelParams(lam=1.0, mu=0.4, c=1.0, m=1.0, b=1.0)},
+        "newton": {"newton": NewtonOptions()},
+        "continuation": {"continuation": ContinuationOptions(), "mu_min": DEFAULT_MU_MIN},
+        "time": {"time": TimeOptions(), "initial": InitialData()},
+        "output": {"output": OutputConfig()},
+    }
+    opts = {}
+    for where, defaults in blocks.items():
+        opts.update(_read(data.get(where, {}), where, defaults))
     if "newton" in data:
         # an explicit newton block also tunes the continuation corrector
-        cont = replace(cont, corrector=newton)
-    time_opts, initial = _time_block(data.get("time", {}))
-    output = _output(data.get("output", {}))
-    return RunConfig(
-        grid=grid,
-        params=params,
-        newton=newton,
-        continuation=cont,
-        mu_min=mu_min,
-        time=time_opts,
-        initial=initial,
-        output=output,
-    )
+        opts["continuation"] = replace(opts["continuation"], corrector=opts["newton"])
+    return RunConfig(grid=grid, **opts)
 
 
 def load_config(path: str | Path | None) -> RunConfig:

@@ -18,10 +18,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .analytics import BifurcationData, bifurcation_data
-from .errors import ComparisonError, EstimationError, GeometryError, NumericalError, ParameterError, SingularResponseError
+from .errors import ComparisonError, EstimationError, GeometryError, NumericalError, ParameterError
 from .geometry import Grid, exterior_connected
 from .model import Diffusion, ModelParams, State, jacobian, residual
-from .newton import NewtonOptions, SolutionClass, classify_state, newton_solve
+from .newton import NewtonOptions, SolutionClass, _damped_newton, classify_state, newton_solve
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,13 @@ class ContinuationOptions:
     grow_iters: int = 3              # double the step when the corrector is this fast
     max_points: int = 5000
     corrector: NewtonOptions = field(default_factory=lambda: NewtonOptions(max_iters=12))
+
+    def __post_init__(self):
+        steps = (self.ds_min, self.ds_initial_factor, self.ds_max_factor)
+        if not all(x > 0.0 for x in steps):
+            raise ParameterError("ds_min, ds_initial_factor and ds_max_factor must be positive")
+        if not (self.grow_iters >= 0 and self.max_points >= 2):
+            raise ParameterError("grow_iters >= 0 and max_points >= 2 required")
 
 
 @dataclass(frozen=True)
@@ -78,42 +85,28 @@ class BranchComparison:
 
 
 class _Corrector:
-    """Newton on [residual(U, mu); affine constraint] with backtracking."""
+    """Damped Newton on the bordered map [residual(U, mu); affine constraint]."""
 
     def __init__(self, grid: Grid, params: ModelParams, opts: NewtonOptions):
         self.grid = grid
         self.params = params
         self.opts = opts
-        self.n_cells = grid.n_cells
-        self.n_unknowns = grid.n_cells + grid.n_exterior
-
-    def _merit(self, y, c_row, c_mu, c_target):
-        try:
-            f = residual(replace(self.params, mu=y[-1]), State.unpack(self.grid, y[:-1]))
-        except SingularResponseError:
-            return None, np.inf
-        g = float(c_row @ y[:-1] + c_mu * y[-1] - c_target)
-        return np.concatenate([f, [g]]), max(float(np.abs(f).max()), abs(g))
 
     def solve(self, y0, c_row, c_mu, c_target):
         """Return (y, iterations, converged); the constraint is affine in y."""
-        opts = self.opts
-        y = y0.copy()
-        fg, merit = self._merit(y, c_row, c_mu, c_target)
-        if fg is None:
-            return y, 0, False
-        for it in range(1, opts.max_iters + 1):
-            if merit <= opts.tol_residual:
-                return y, it - 1, True
-            state = State.unpack(self.grid, y[:-1])
-            params_mu = replace(self.params, mu=y[-1])
-            try:
-                jac = jacobian(params_mu, state).matrix
-            except SingularResponseError:
-                return y, it, False
+        grid, params = self.grid, self.params
+        n_cells = grid.n_cells
+
+        def fun(y):
+            f = residual(replace(params, mu=y[-1]), State.unpack(grid, y[:-1]))
+            g = float(c_row @ y[:-1] + c_mu * y[-1] - c_target)
+            return np.concatenate([f, [g]])
+
+        def solve(y, fg):
+            jac = jacobian(replace(params, mu=y[-1]), State.unpack(grid, y[:-1])).matrix
             # d(residual)/d(mu): only the predator rows depend on mu, via -mu*v
-            f_mu = np.zeros(self.n_unknowns)
-            f_mu[self.n_cells:] = -y[self.n_cells:-1]
+            f_mu = np.zeros(y.size - 1)
+            f_mu[n_cells:] = -y[n_cells:-1]
             bordered = sp.bmat(
                 [
                     [jac, f_mu[:, None]],
@@ -121,26 +114,10 @@ class _Corrector:
                 ],
                 format="csc",
             )
-            try:
-                delta = splu(bordered).solve(-fg)
-            except RuntimeError:
-                return y, it, False
-            if not np.all(np.isfinite(delta)):
-                return y, it, False
+            return splu(bordered).solve(-fg)
 
-            step = 1.0
-            accepted = False
-            while step >= opts.min_step:
-                trial = y + step * delta
-                fg_trial, merit_trial = self._merit(trial, c_row, c_mu, c_target)
-                if merit_trial < merit:
-                    accepted = True
-                    break
-                step *= opts.damping
-            if not accepted:
-                return y, it, False
-            y, fg, merit = trial, fg_trial, merit_trial
-        return y, opts.max_iters, merit <= opts.tol_residual
+        y, _, history, _ = _damped_newton(y0, fun, solve, self.opts)
+        return y, len(history) - 1, history[-1] <= self.opts.tol_residual
 
 
 def _is_positive(grid: Grid, y: np.ndarray) -> bool:

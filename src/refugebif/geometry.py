@@ -105,40 +105,12 @@ class ScalarField:
             vals[grid.refuge_mask] = 0.0
         return cls(grid, vals, support)
 
-    def as_array2d(self) -> np.ndarray:
-        """Values reshaped to (n_y, n_x) for inspection or dumps."""
-        return self.values.reshape(self.grid.n_y, self.grid.n_x)
-
-
-@dataclass(frozen=True)
-class FieldBlock:
-    """Contiguous slice of a stacked unknown vector belonging to one field."""
-
-    name: str
-    offset: int
-    cells: np.ndarray  # unknown slot -> flat cell index
-
 
 @dataclass(frozen=True)
 class SparseOperator:
     """Square sparse linear map over stacked field unknowns."""
 
     matrix: sp.csr_matrix
-    blocks: tuple[FieldBlock, ...]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
-    def slot_info(self, slot: int) -> tuple[str, int]:
-        """Map an unknown index back to its (field name, flat cell index)."""
-        for blk in self.blocks:
-            if blk.offset <= slot < blk.offset + blk.cells.size:
-                return blk.name, int(blk.cells[slot - blk.offset])
-        raise IndexError(slot)
 
 
 def _face_index(coord: float, h: float, n: int, label: str) -> int:
@@ -262,9 +234,7 @@ def neumann_laplacian(grid: Grid, region: Region = Region.ALL) -> SparseOperator
     key = ("laplacian", region)
     op = grid._cache.get(key)
     if op is None:
-        mat = _assemble_laplacian(grid, region)
-        blocks = (FieldBlock("scalar", 0, np.arange(grid.n_cells)),)
-        op = SparseOperator(mat, blocks)
+        op = SparseOperator(_assemble_laplacian(grid, region))
         grid._cache[key] = op
     return op
 

@@ -17,7 +17,6 @@ import scipy.sparse as sp
 
 from .errors import ParameterError, SingularResponseError
 from .geometry import (
-    FieldBlock,
     Grid,
     Region,
     ScalarField,
@@ -59,9 +58,9 @@ class ModelParams:
     variant: Diffusion = Diffusion.NONLINEAR
 
     def __post_init__(self):
-        if min(self.lam, self.c, self.b, self.d) <= 0.0:
+        if not all(x > 0.0 for x in (self.lam, self.c, self.b, self.d)):
             raise ParameterError("lam, c, b and d must all be positive")
-        if self.mu < 0.0 or self.m < 0.0:
+        if not (self.mu >= 0.0 and self.m >= 0.0):
             raise ParameterError("mu and m must be non-negative")
 
 
@@ -180,9 +179,4 @@ def jacobian(params: ModelParams, state: State) -> SparseOperator:
     lap_ext = neumann_laplacian(grid, Region.EXTERIOR).matrix
     a_vv = lap_ext[ext][:, ext] + sp.diags(-params.mu + params.c * u[ext] / den[ext])
 
-    mat = sp.bmat([[a_uu, a_uv], [a_vu, a_vv]], format="csr")
-    blocks = (
-        FieldBlock("u", 0, np.arange(n)),
-        FieldBlock("v", n, ext),
-    )
-    return SparseOperator(mat, blocks)
+    return SparseOperator(sp.bmat([[a_uu, a_uv], [a_vu, a_vv]], format="csr"))

@@ -32,11 +32,11 @@ class NewtonOptions:
     min_step: float = 1e-8
 
     def __post_init__(self):
-        if self.tol_residual <= 0.0:
+        if not self.tol_residual > 0.0:
             raise ParameterError("tol_residual must be positive")
         if not 0.0 < self.damping < 1.0:
             raise ParameterError("damping must lie in (0, 1)")
-        if self.max_iters < 1 or self.min_step <= 0.0:
+        if not (self.max_iters >= 1 and self.min_step > 0.0):
             raise ParameterError("max_iters >= 1 and min_step > 0 required")
 
 
@@ -67,17 +67,46 @@ def classify_state(state: State) -> tuple[SolutionClass, bool]:
     return SolutionClass.INDEFINITE, positivity
 
 
-def _report(state, converged, iterations, history, diagnostic=""):
-    cls, positivity = classify_state(state)
-    return NewtonReport(
-        converged=converged,
-        iterations=iterations,
-        final_residual_norm=history[-1],
-        positivity=positivity,
-        classification=cls,
-        residual_history=tuple(history),
-        diagnostic=diagnostic,
-    )
+def _damped_newton(x, fun, solve, opts: NewtonOptions):
+    """Damped Newton with backtracking on the max-norm of ``fun``.
+
+    ``solve(x, f)`` returns the Newton step at ``x``; it may raise
+    RuntimeError or SingularResponseError, and ``fun`` the latter.  Returns
+    (x, f, history, diagnostic): the last accepted iterate and its residual
+    (None if the start is inadmissible), the max-norm residual history, and
+    why the iteration stopped early ("" if it converged or ran out of
+    iterations).
+    """
+    try:
+        f = fun(x)
+    except SingularResponseError as exc:
+        return x, None, [np.inf], f"initial state inadmissible: {exc}"
+    norm = float(np.abs(f).max())
+    history = [norm]
+    while norm > opts.tol_residual and len(history) <= opts.max_iters:
+        try:
+            delta = solve(x, f)
+        except (RuntimeError, SingularResponseError) as exc:
+            return x, f, history, f"Newton step failed: {exc}"
+        if not np.all(np.isfinite(delta)):
+            return x, f, history, "non-finite Newton step (singular Jacobian)"
+
+        step = 1.0
+        while step >= opts.min_step:
+            trial = x + step * delta
+            try:
+                f_trial = fun(trial)
+                trial_norm = float(np.abs(f_trial).max())
+            except SingularResponseError:
+                trial_norm = np.inf
+            if trial_norm < norm:
+                break
+            step *= opts.damping
+        else:
+            return x, f, history, "backtracking stalled (no descent direction)"
+        x, f, norm = trial, f_trial, trial_norm
+        history.append(norm)
+    return x, f, history, ""
 
 
 def newton_solve(
@@ -92,53 +121,25 @@ def newton_solve(
     """
     opts = opts or NewtonOptions()
     grid = initial.grid
-    x = initial.pack()
-    try:
-        f = residual(params, initial)
-    except SingularResponseError as exc:
-        return initial, _report(
-            initial, False, 0, [np.inf], f"initial state inadmissible: {exc}"
-        )
-    norm = float(np.abs(f).max())
-    history = [norm]
 
-    iterations = 0
-    diagnostic = ""
-    while norm > opts.tol_residual and iterations < opts.max_iters:
-        state = State.unpack(grid, x)
-        try:
-            lu = splu(jacobian(params, state).matrix.tocsc())
-            delta = lu.solve(-f)
-        except (RuntimeError, SingularResponseError) as exc:
-            diagnostic = f"Newton step failed: {exc}"
-            break
-        if not np.all(np.isfinite(delta)):
-            diagnostic = "non-finite Newton step (singular Jacobian)"
-            break
+    def fun(x):
+        return residual(params, State.unpack(grid, x))
 
-        step = 1.0
-        accepted = False
-        while step >= opts.min_step:
-            trial = x + step * delta
-            try:
-                f_trial = residual(params, State.unpack(grid, trial))
-                trial_norm = float(np.abs(f_trial).max())
-            except SingularResponseError:
-                trial_norm = np.inf
-            if trial_norm < norm:
-                accepted = True
-                break
-            step *= opts.damping
-        if not accepted:
-            diagnostic = "backtracking stalled (no descent direction)"
-            break
+    def solve(x, f):
+        return splu(jacobian(params, State.unpack(grid, x)).matrix.tocsc()).solve(-f)
 
-        x, f, norm = trial, f_trial, trial_norm
-        iterations += 1
-        history.append(norm)
-
+    x, _, history, diagnostic = _damped_newton(initial.pack(), fun, solve, opts)
     out = State.unpack(grid, x)
-    return out, _report(out, norm <= opts.tol_residual, iterations, history, diagnostic)
+    cls, positivity = classify_state(out)
+    return out, NewtonReport(
+        converged=history[-1] <= opts.tol_residual,
+        iterations=len(history) - 1,
+        final_residual_norm=history[-1],
+        positivity=positivity,
+        classification=cls,
+        residual_history=tuple(history),
+        diagnostic=diagnostic,
+    )
 
 
 def initial_guess_on_branch(grid: Grid, params: ModelParams, s: float) -> State:

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ParameterError, StepError
-from .geometry import Grid, Region, ScalarField, neumann_laplacian, predation_field, _interior_faces
+from .geometry import Grid, Region, neumann_laplacian, predation_field, _interior_faces
 from .model import Diffusion, ModelParams, State, _holling_denominator
 
 # clamped negative-undershoot budget before a run is flagged
@@ -31,7 +31,7 @@ class TimeOptions:
     clamp_negative: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.steady_tol <= 0.0 or self.t_max < 0.0:
+        if not (self.dt > 0.0 and self.steady_tol > 0.0 and self.t_max >= 0.0):
             raise ParameterError("dt > 0, steady_tol > 0 and t_max >= 0 required")
 
 
@@ -106,12 +106,7 @@ def step(params: ModelParams, state: State, dt: float) -> State:
     u_new, v_new = _Stepper(params, grid, dt).advance(
         state.u.values, state.v.values[grid.exterior_cells]
     )
-    v_full = np.zeros(grid.n_cells)
-    v_full[grid.exterior_cells] = v_new
-    return State(
-        ScalarField(grid, u_new, Region.ALL),
-        ScalarField(grid, v_full, Region.EXTERIOR),
-    )
+    return State.unpack(grid, np.concatenate([u_new, v_new]))
 
 
 def evolve_to_steady(
@@ -155,17 +150,7 @@ def evolve_to_steady(
         ) / opts.dt
         u, v_ext = u_new, v_new
         if observer is not None:
-            v_full = np.zeros(grid.n_cells)
-            v_full[grid.exterior_cells] = v_ext
-            observer(
-                k,
-                t,
-                State(
-                    ScalarField(grid, u, Region.ALL),
-                    ScalarField(grid, v_full, Region.EXTERIOR),
-                ),
-                clamped,
-            )
+            observer(k, t, State.unpack(grid, np.concatenate([u, v_ext])), clamped)
         if change < opts.steady_tol:
             steady = True
             break
@@ -178,10 +163,4 @@ def evolve_to_steady(
             RuntimeWarning,
             stacklevel=2,
         )
-    v_full = np.zeros(grid.n_cells)
-    v_full[grid.exterior_cells] = v_ext
-    final = State(
-        ScalarField(grid, u, Region.ALL),
-        ScalarField(grid, v_full, Region.EXTERIOR),
-    )
-    return final, steady
+    return State.unpack(grid, np.concatenate([u, v_ext])), steady

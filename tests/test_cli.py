@@ -62,6 +62,31 @@ class TestConfig:
         # without the block the corrector keeps its bounded default
         assert parse_config({}).continuation.corrector.max_iters == 12
 
+    @pytest.mark.parametrize(
+        "block,values",
+        [
+            ("geometry", {"domain_length": [1, "x"]}),
+            ("geometry", {"n": 8.9}),
+            ("geometry", {"n": True}),
+            ("time", {"dt": float("nan")}),
+            ("time", {"clamp_negative": "false"}),
+            ("newton", {"tol_residual": float("nan")}),
+            ("params", {"mu": float("nan")}),
+            ("output", {"snapshot_every": 0}),
+        ],
+    )
+    def test_bad_value_exits_2(self, tmp_path, capsys, block, values):
+        with pytest.raises(ConfigError):
+            parse_config({block: values})
+        cfg = write_config(tmp_path, **{block: values})
+        assert main(["analyze", "--config", str(cfg), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_accepted(self):
+        assert parse_config({"geometry": {"n": 8.0}}).grid.n_x == 8
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")

@@ -95,6 +95,15 @@ class TestTraceBranch:
         with pytest.raises(GeometryError):
             trace_branch(disconnected_grid(), make_params(), 0.1, ContinuationOptions())
 
+    @pytest.mark.parametrize(
+        "kw", [dict(ds_min=0.0), dict(ds_initial_factor=0.0), dict(ds_max_factor=-0.05),
+               dict(grow_iters=-1), dict(max_points=1), dict(ds_min=np.nan)]
+    )
+    def test_invalid_options_rejected(self, kw):
+        # with ds_min = 0, step halving would never stop
+        with pytest.raises(ParameterError):
+            ContinuationOptions(**kw)
+
     def test_point_budget_truncates_with_diagnostic(self, refuge_grid_16):
         opts = ContinuationOptions(max_points=4)
         branch = trace_branch(refuge_grid_16, make_params(), 0.08, opts)

@@ -49,7 +49,7 @@ class TestModelParams:
     @pytest.mark.parametrize(
         "kw",
         [dict(lam=0.0), dict(lam=-1.0), dict(c=0.0), dict(b=-0.5), dict(d=0.0),
-         dict(mu=-0.1), dict(m=-1.0)],
+         dict(mu=-0.1), dict(m=-1.0), dict(lam=np.nan), dict(mu=np.nan)],
     )
     def test_invalid_rejected(self, kw):
         with pytest.raises(ParameterError):
@@ -212,10 +212,3 @@ class TestJacobian:
         u_diag = jac[:n, :n].diagonal() - lap_diag * st.u.values
         expected_diag = p.lam - 2.0 * st.u.values - bf * st.v.values
         assert np.abs(u_diag - expected_diag).max() < 1e-12
-
-    def test_slot_info_maps_back(self, refuge_grid_16):
-        g = refuge_grid_16
-        op = jacobian(make_params(), semi_trivial_state(g, 1.0))
-        assert op.slot_info(0) == ("u", 0)
-        name, cell = op.slot_info(g.n_cells)
-        assert name == "v" and cell == g.exterior_cells[0]

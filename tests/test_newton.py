@@ -27,7 +27,7 @@ def make_params(variant=Diffusion.NONLINEAR, **kw):
 class TestOptions:
     @pytest.mark.parametrize(
         "kw", [dict(tol_residual=0.0), dict(damping=1.0), dict(damping=0.0),
-               dict(max_iters=0), dict(min_step=0.0)]
+               dict(max_iters=0), dict(min_step=0.0), dict(tol_residual=np.nan)]
     )
     def test_invalid_rejected(self, kw):
         with pytest.raises(ParameterError):

@@ -26,7 +26,8 @@ def positive_state(grid, u0=0.8, v0=0.1):
 
 class TestOptions:
     @pytest.mark.parametrize(
-        "kw", [dict(dt=0.0), dict(dt=-1.0), dict(steady_tol=0.0), dict(t_max=-1.0)]
+        "kw", [dict(dt=0.0), dict(dt=-1.0), dict(steady_tol=0.0), dict(t_max=-1.0),
+               dict(dt=np.nan)]
     )
     def test_invalid_rejected(self, kw):
         with pytest.raises(ParameterError):
