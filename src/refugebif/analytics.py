@@ -29,6 +29,7 @@ from .geometry import (
     Region,
     ScalarField,
     exterior_connected,
+    exterior_laplacian_block,
     integrate,
     neumann_laplacian,
     predation_field,
@@ -130,8 +131,7 @@ def v_block_eigenvalue(
             stacklevel=2,
         )
     ext = grid.exterior_cells
-    lap_ext = neumann_laplacian(grid, Region.EXTERIOR).matrix[ext][:, ext]
-    shifted = (sp.identity(ext.size, format="csr") - lap_ext).tocsc()
+    shifted = (sp.identity(ext.size, format="csr") - exterior_laplacian_block(grid)).tocsc()
     solve = splu(shifted)
 
     # deterministic start with guaranteed overlap onto the constant mode

@@ -7,6 +7,16 @@ a secant predictor plus an arclength-constrained corrector walks the branch
 down to mu_min, with the last point retargeted to land on mu_min exactly.
 Arclength is measured in the mesh-independent metric
 ||(dU, dmu)||^2 = cell_area * |dU|^2 + dmu^2.
+
+Each corrector iteration solves the bordered system
+[[J, f_mu], [c, c_mu]] (dU, dmu) = -(f, g) by block elimination (Keller's
+bordering lemma): one LU of the Jacobian J gives J a = -f and J b = f_mu,
+then dmu = (-g - c.a) / (c_mu - c.b) and dU = a - dmu * b.  J is singular at
+the onset and the seeds sit just below it, so the step is guarded: if the
+bordered residual exceeds 1e-10 of |(f, g)| in the max-norm, one step of
+iterative refinement with the same LU follows, and a step that still fails,
+is not finite, or whose J will not factor is solved instead with an LU of the
+bordered matrix (Govaerts 2000, ch. 3).
 """
 
 from __future__ import annotations
@@ -85,39 +95,87 @@ class BranchComparison:
 
 
 class _Corrector:
-    """Damped Newton on the bordered map [residual(U, mu); affine constraint]."""
+    """Damped Newton on the bordered map [residual(U, mu); affine constraint].
+
+    ``fallbacks`` counts the Newton steps that block elimination could not
+    give and the LU of the bordered matrix did (see the module docstring).
+    """
 
     def __init__(self, grid: Grid, params: ModelParams, opts: NewtonOptions):
         self.grid = grid
         self.params = params
         self.opts = opts
+        self.fallbacks = 0
 
     def solve(self, y0, c_row, c_mu, c_target):
         """Return (y, iterations, converged); the constraint is affine in y."""
         grid, params = self.grid, self.params
-        n_cells = grid.n_cells
 
         def fun(y):
             f = residual(replace(params, mu=y[-1]), State.unpack(grid, y[:-1]))
             g = float(c_row @ y[:-1] + c_mu * y[-1] - c_target)
             return np.concatenate([f, [g]])
 
-        def solve(y, fg):
-            jac = jacobian(replace(params, mu=y[-1]), State.unpack(grid, y[:-1])).matrix
-            # d(residual)/d(mu): only the predator rows depend on mu, via -mu*v
-            f_mu = np.zeros(y.size - 1)
-            f_mu[n_cells:] = -y[n_cells:-1]
-            bordered = sp.bmat(
-                [
-                    [jac, f_mu[:, None]],
-                    [sp.csr_matrix(c_row[None, :]), sp.csr_matrix([[c_mu]])],
-                ],
-                format="csc",
-            )
-            return splu(bordered).solve(-fg)
-
-        y, _, history, _ = _damped_newton(y0, fun, solve, self.opts)
+        y, _, history, _ = _damped_newton(
+            y0, fun, lambda y, fg: self.step(y, fg, c_row, c_mu), self.opts
+        )
         return y, len(history) - 1, history[-1] <= self.opts.tol_residual
+
+    def step(self, y, fg, c_row, c_mu):
+        """Newton step of the bordered map at y, whose value there is fg."""
+        grid = self.grid
+        jac = jacobian(replace(self.params, mu=y[-1]), State.unpack(grid, y[:-1])).matrix
+        # d(residual)/d(mu): only the predator rows depend on mu, via -mu*v
+        f_mu = np.zeros(y.size - 1)
+        f_mu[grid.n_cells:] = -y[grid.n_cells:-1]
+        delta = _eliminate(jac, f_mu, c_row, c_mu, fg)
+        if delta is not None:
+            return delta
+        self.fallbacks += 1
+        bordered = sp.bmat(
+            [
+                [jac, f_mu[:, None]],
+                [sp.csr_matrix(c_row[None, :]), sp.csr_matrix([[c_mu]])],
+            ],
+            format="csc",
+        )
+        return splu(bordered).solve(-fg)
+
+
+def _eliminate(jac, f_mu, c_row, c_mu, fg, rtol=1e-10):
+    """Solve [[J, f_mu], [c, c_mu]] d = -fg with one LU of J (Keller's bordering).
+
+    The step is returned only if its bordered residual is within ``rtol`` of
+    ``|fg|`` in the max-norm, after at most one refinement step with the same
+    LU; otherwise, or if ``splu`` finds J singular, None.
+    """
+    try:
+        lu = splu(jac.tocsc())
+    except RuntimeError:
+        return None
+    b = lu.solve(f_mu)
+    den = c_mu - c_row @ b
+
+    def apply_inverse(r):
+        a = lu.solve(r[:-1])
+        d_mu = (r[-1] - c_row @ a) / den
+        return np.concatenate([a - d_mu * b, [d_mu]])
+
+    def bordered_residual(d):
+        d_u, d_mu = d[:-1], d[-1]
+        r_u = jac @ d_u + f_mu * d_mu
+        return np.concatenate([r_u, [c_row @ d_u + c_mu * d_mu]]) + fg
+
+    tol = rtol * np.abs(fg).max()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = apply_inverse(-fg)
+        r = bordered_residual(d)
+        if not np.abs(r).max() <= tol:
+            d = d + apply_inverse(-r)
+            r = bordered_residual(d)
+    if np.abs(r).max() <= tol and np.all(np.isfinite(d)):
+        return d
+    return None
 
 
 def _is_positive(grid: Grid, y: np.ndarray) -> bool:

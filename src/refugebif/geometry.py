@@ -239,6 +239,17 @@ def neumann_laplacian(grid: Grid, region: Region = Region.ALL) -> SparseOperator
     return op
 
 
+def exterior_laplacian_block(grid: Grid) -> sp.csr_matrix:
+    """The EXTERIOR Laplacian restricted to exterior rows and columns, in
+    ``exterior_cells`` order; the operator on the packed predator unknowns."""
+    block = grid._cache.get("exterior_laplacian_block")
+    if block is None:
+        ext = grid.exterior_cells
+        block = neumann_laplacian(grid, Region.EXTERIOR).matrix[ext][:, ext]
+        grid._cache["exterior_laplacian_block"] = block
+    return block
+
+
 def integrate(f: ScalarField, region: Region = Region.ALL) -> float:
     """Midpoint quadrature: sum of cell values times cell area over the region."""
     if region is Region.ALL:
@@ -260,8 +271,7 @@ def exterior_connected(grid: Grid) -> bool:
     """Whether the predator habitat forms a single connected component."""
     if grid.n_exterior == 0:
         return False
-    lap = neumann_laplacian(grid, Region.EXTERIOR).matrix
-    ext = grid.exterior_cells
-    sub = lap[ext][:, ext]
-    n_comp = connected_components(sub, directed=False, return_labels=False)
+    n_comp = connected_components(
+        exterior_laplacian_block(grid), directed=False, return_labels=False
+    )
     return int(n_comp) == 1

@@ -21,6 +21,7 @@ from .geometry import (
     Region,
     ScalarField,
     SparseOperator,
+    exterior_laplacian_block,
     neumann_laplacian,
     predation_field,
 )
@@ -176,7 +177,6 @@ def jacobian(params: ModelParams, state: State) -> SparseOperator:
         (params.c * v[ext] / den2[ext], (np.arange(ext.size), ext)),
         shape=(ext.size, n),
     )
-    lap_ext = neumann_laplacian(grid, Region.EXTERIOR).matrix
-    a_vv = lap_ext[ext][:, ext] + sp.diags(-params.mu + params.c * u[ext] / den[ext])
+    a_vv = exterior_laplacian_block(grid) + sp.diags(-params.mu + params.c * u[ext] / den[ext])
 
     return SparseOperator(sp.bmat([[a_uu, a_uv], [a_vu, a_vv]], format="csr"))

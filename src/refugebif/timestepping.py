@@ -16,7 +16,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ParameterError, StepError
-from .geometry import Grid, Region, neumann_laplacian, predation_field, _interior_faces
+from .geometry import (
+    Grid, Region, _interior_faces, exterior_laplacian_block, neumann_laplacian,
+    predation_field,
+)
 from .model import Diffusion, ModelParams, State, _holling_denominator
 
 # clamped negative-undershoot budget before a run is flagged
@@ -46,10 +49,9 @@ class _Stepper:
         self.ext = grid.exterior_cells
         n_ext = grid.n_exterior
 
-        lap_ext = neumann_laplacian(grid, Region.EXTERIOR).matrix
         pred_matrix = (
             sp.identity(n_ext, format="csr") / dt
-            - params.d * lap_ext[self.ext][:, self.ext]
+            - params.d * exterior_laplacian_block(grid)
         )
         self.pred_lu = splu(pred_matrix.tocsc())
 

@@ -242,3 +242,125 @@ class TestVariantConsistencyAtOnset:
         s_eff = solved.v.values[refuge_grid_16.exterior_cells].mean()
         shape_dev = np.abs((p.lam - solved.u.values) / s_eff - kern).max()
         assert shape_dev < 0.2 * s_eff
+
+
+class TestBorderedStep:
+    """The corrector's block-eliminated step against a direct bordered LU."""
+
+    @staticmethod
+    def seeded_point(grid, variant, s):
+        # the state, mu and constraint trace_branch seeds its first points with
+        from dataclasses import replace
+
+        from refugebif.analytics import bifurcation_data
+        from refugebif.model import residual
+        from refugebif.newton import initial_guess_on_branch
+
+        p = make_params(variant)
+        onset = bifurcation_data(grid, p)
+        p = replace(p, mu=onset.mu_lambda + onset.slope_at_onset * s)
+        state = initial_guess_on_branch(grid, p, s)
+        c_row = np.zeros(grid.n_cells + grid.n_exterior)
+        c_row[grid.n_cells:] = grid.cell_area / onset.omega1_area
+        y = np.concatenate([state.pack(), [p.mu]])
+        fg = np.concatenate([residual(p, state), [c_row @ y[:-1] - s]])
+        return p, state, y, fg, c_row
+
+    @pytest.mark.parametrize("variant", BOTH)
+    @pytest.mark.parametrize("s", [1e-3, 1e-8])
+    def test_matches_bordered_lu(self, refuge_grid_16, variant, s):
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import splu
+
+        from refugebif.continuation import _Corrector
+        from refugebif.model import jacobian
+        from refugebif.newton import NewtonOptions
+
+        grid = refuge_grid_16
+        p, state, y, fg, c_row = self.seeded_point(grid, variant, s)
+        corrector = _Corrector(grid, p, NewtonOptions())
+        step = corrector.step(y, fg, c_row, 0.0)
+        assert corrector.fallbacks == 0
+
+        f_mu = np.zeros(y.size - 1)
+        f_mu[grid.n_cells:] = -y[grid.n_cells:-1]
+        bordered = sp.bmat(
+            [[jacobian(p, state).matrix, f_mu[:, None]], [c_row[None, :], [[0.0]]]],
+            format="csc",
+        )
+        ref = splu(bordered).solve(-fg)
+        assert np.abs(step - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert abs(step[-1] - ref[-1]) <= 1e-10 * abs(ref[-1])
+
+    @pytest.mark.parametrize("eps, eliminated", [(1e-8, True), (0.0, False)])
+    def test_eliminates_unless_j_is_singular(self, eps, eliminated):
+        # J has one eigenvalue eps, the bordered matrix stays well conditioned
+        import scipy.sparse as sp
+
+        from refugebif.continuation import _eliminate
+
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        jac = q @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0, eps]) @ q.T
+        f_mu, c_row, fg = rng.standard_normal(6), rng.standard_normal(6), rng.standard_normal(7)
+        step = _eliminate(sp.csr_matrix(jac), f_mu, c_row, 0.0, fg)
+        if not eliminated:
+            assert step is None
+            return
+        bordered = np.block([[jac, f_mu[:, None]], [c_row[None, :], np.zeros((1, 1))]])
+        np.testing.assert_allclose(step, np.linalg.solve(bordered, -fg), rtol=0.0, atol=1e-12)
+
+    def test_inaccurate_lu_fails_the_guard(self, refuge_grid_16, monkeypatch):
+        # an LU of a shifted J gives a step whose bordered residual the guard rejects
+        import scipy.sparse as sp
+
+        from refugebif import continuation
+        from refugebif.newton import NewtonOptions
+
+        grid = refuge_grid_16
+        p, state, y, fg, c_row = self.seeded_point(grid, Diffusion.NONLINEAR, 1e-3)
+        exact = continuation._Corrector(grid, p, NewtonOptions()).step(y, fg, c_row, 0.0)
+
+        splu = continuation.splu
+        n_unknowns = y.size - 1
+
+        def shifted_splu(a):
+            if a.shape == (n_unknowns, n_unknowns):
+                a = (a + 0.1 * sp.identity(n_unknowns)).tocsc()
+            return splu(a)
+
+        monkeypatch.setattr(continuation, "splu", shifted_splu)
+        corrector = continuation._Corrector(grid, p, NewtonOptions())
+        step = corrector.step(y, fg, c_row, 0.0)
+        assert corrector.fallbacks == 1
+        assert np.abs(step - exact).max() <= 1e-10 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("variant", BOTH)
+    def test_fallback_path_traces_the_same_branch(self, refuge_grid_16, monkeypatch, variant):
+        # refuse every factorization of J, so each step takes the bordered LU
+        from refugebif import continuation
+
+        grid = refuge_grid_16
+        n_unknowns = grid.n_cells + grid.n_exterior
+        p = make_params(variant)
+        shipped = trace_branch(grid, p, 0.3)
+
+        splu = continuation.splu
+        counts = {"refused": 0, "bordered": 0}
+
+        def refusing_splu(a):
+            if a.shape == (n_unknowns, n_unknowns):
+                counts["refused"] += 1
+                raise RuntimeError("Factor is exactly singular")
+            counts["bordered"] += a.shape == (n_unknowns + 1, n_unknowns + 1)
+            return splu(a)
+
+        monkeypatch.setattr(continuation, "splu", refusing_splu)
+        fallen_back = trace_branch(grid, p, 0.3)
+
+        assert counts["refused"] == counts["bordered"] > 0
+        assert len(fallen_back.points) == len(shipped.points)
+        assert [q.newton_iters for q in fallen_back.points] == [
+            q.newton_iters for q in shipped.points
+        ]
+        np.testing.assert_allclose(fallen_back.avg_vs, shipped.avg_vs, rtol=1e-10, atol=0.0)
