@@ -25,6 +25,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import GeometryError, NumericalError
 from .geometry import (
+    LU_OPTIONS,
     Grid,
     Region,
     ScalarField,
@@ -64,7 +65,7 @@ def kernel_profile(grid: Grid, params: ModelParams) -> ScalarField:
     lap = neumann_laplacian(grid, Region.ALL).matrix
     helmholtz = (shift * sp.identity(grid.n_cells, format="csr") - lap).tocsc()
     try:
-        vals = splu(helmholtz).solve(rhs)
+        vals = splu(helmholtz, **LU_OPTIONS).solve(rhs)
     except RuntimeError as exc:
         norm = sp.linalg.norm(helmholtz, 1)
         raise NumericalError(
@@ -132,7 +133,7 @@ def v_block_eigenvalue(
         )
     ext = grid.exterior_cells
     shifted = (sp.identity(ext.size, format="csr") - exterior_laplacian_block(grid)).tocsc()
-    solve = splu(shifted)
+    solve = splu(shifted, **LU_OPTIONS)
 
     # deterministic start with guaranteed overlap onto the constant mode
     x = grid.cell_x[ext] / grid.domain_length[0]

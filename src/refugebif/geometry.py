@@ -26,6 +26,13 @@ EXTERIOR = np.int8(1)
 # slack for deciding that a refuge coordinate sits on a cell face
 _ALIGN_RTOL = 1e-9
 
+# Keyword arguments for every sparse LU: ``splu(a, **LU_OPTIONS)``.  The
+# matrices factored are structurally symmetric (the bordered one nearly so),
+# so minimum degree on the pattern of A^T + A with SymmetricMode gives about
+# half the fill of SciPy's default COLAMD.  The pivot threshold stays at 1:
+# a diagonal pivot is taken only when it is also the largest in its column.
+LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
+
 
 class Region(Enum):
     """Where a field lives, or what an operator/integral ranges over."""

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .errors import GuessError, ParameterError, SingularResponseError
-from .geometry import Grid, Region, ScalarField
+from .geometry import LU_OPTIONS, Grid, Region, ScalarField
 from .model import ModelParams, State, jacobian, residual
 from . import analytics
 
@@ -126,7 +126,8 @@ def newton_solve(
         return residual(params, State.unpack(grid, x))
 
     def solve(x, f):
-        return splu(jacobian(params, State.unpack(grid, x)).matrix.tocsc()).solve(-f)
+        jac = jacobian(params, State.unpack(grid, x)).matrix
+        return splu(jac.tocsc(), **LU_OPTIONS).solve(-f)
 
     x, _, history, diagnostic = _damped_newton(initial.pack(), fun, solve, opts)
     out = State.unpack(grid, x)

@@ -17,7 +17,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import ParameterError, StepError
 from .geometry import (
-    Grid, Region, _interior_faces, exterior_laplacian_block, neumann_laplacian,
+    LU_OPTIONS, Grid, Region, _interior_faces, exterior_laplacian_block, neumann_laplacian,
     predation_field,
 )
 from .model import Diffusion, ModelParams, State, _holling_denominator
@@ -53,12 +53,12 @@ class _Stepper:
             sp.identity(n_ext, format="csr") / dt
             - params.d * exterior_laplacian_block(grid)
         )
-        self.pred_lu = splu(pred_matrix.tocsc())
+        self.pred_lu = splu(pred_matrix.tocsc(), **LU_OPTIONS)
 
         self.lap_all = neumann_laplacian(grid, Region.ALL).matrix
         if params.variant is Diffusion.LINEAR:
             prey_matrix = sp.identity(grid.n_cells, format="csr") / dt - self.lap_all
-            self.prey_lu = splu(prey_matrix.tocsc())
+            self.prey_lu = splu(prey_matrix.tocsc(), **LU_OPTIONS)
         else:
             self.prey_lu = None
             faces_x, faces_y = _interior_faces(grid, Region.ALL)
@@ -92,7 +92,7 @@ class _Stepper:
             else:
                 flux = self._frozen_flux_matrix(u)
                 matrix = sp.identity(self.grid.n_cells, format="csc") / dt - flux
-                u_new = splu(matrix).solve(u / dt + prey_reaction)
+                u_new = splu(matrix, **LU_OPTIONS).solve(u / dt + prey_reaction)
             pred_reaction = -params.mu * v_ext + params.c * u[ext] * v_ext / den[ext]
             v_new = self.pred_lu.solve(v_ext / dt + pred_reaction)
         except RuntimeError as exc:

@@ -292,16 +292,26 @@ class TestBorderedStep:
         assert np.abs(step - ref).max() <= 1e-10 * np.abs(ref).max()
         assert abs(step[-1] - ref[-1]) <= 1e-10 * abs(ref[-1])
 
-    @pytest.mark.parametrize("eps, eliminated", [(1e-8, True), (0.0, False)])
+    @pytest.mark.parametrize("eps, eliminated", [(1e-8, True), (0.0, True), (0.0, False)])
     def test_eliminates_unless_j_is_singular(self, eps, eliminated):
-        # J has one eigenvalue eps, the bordered matrix stays well conditioned
+        # J = q diag(1..5, eps) q^T has one eigenvalue eps, and the bordered
+        # matrix stays well conditioned.  At eps = 0 this J is singular only in
+        # exact arithmetic: its smallest LU pivot is round-off, and the guarded
+        # step still equals a dense solve.  A J with an exact zero row and
+        # column (eliminated=False) is refused by splu under any ordering.
         import scipy.sparse as sp
 
         from refugebif.continuation import _eliminate
 
         rng = np.random.default_rng(0)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        jac = q @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0, eps]) @ q.T
+        if eliminated:
+            jac = q @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0, eps]) @ q.T
+        else:
+            jac = np.zeros((6, 6))
+            jac[:5, :5] = q[:5, :5] @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) @ q[:5, :5].T
+            perm = rng.permutation(6)
+            jac = jac[perm][:, perm]
         f_mu, c_row, fg = rng.standard_normal(6), rng.standard_normal(6), rng.standard_normal(7)
         step = _eliminate(sp.csr_matrix(jac), f_mu, c_row, 0.0, fg)
         if not eliminated:
@@ -324,10 +334,10 @@ class TestBorderedStep:
         splu = continuation.splu
         n_unknowns = y.size - 1
 
-        def shifted_splu(a):
+        def shifted_splu(a, **kwargs):
             if a.shape == (n_unknowns, n_unknowns):
                 a = (a + 0.1 * sp.identity(n_unknowns)).tocsc()
-            return splu(a)
+            return splu(a, **kwargs)
 
         monkeypatch.setattr(continuation, "splu", shifted_splu)
         corrector = continuation._Corrector(grid, p, NewtonOptions())
@@ -348,12 +358,12 @@ class TestBorderedStep:
         splu = continuation.splu
         counts = {"refused": 0, "bordered": 0}
 
-        def refusing_splu(a):
+        def refusing_splu(a, **kwargs):
             if a.shape == (n_unknowns, n_unknowns):
                 counts["refused"] += 1
                 raise RuntimeError("Factor is exactly singular")
             counts["bordered"] += a.shape == (n_unknowns + 1, n_unknowns + 1)
-            return splu(a)
+            return splu(a, **kwargs)
 
         monkeypatch.setattr(continuation, "splu", refusing_splu)
         fallen_back = trace_branch(grid, p, 0.3)
