@@ -23,6 +23,11 @@ on the pattern of J^T + J with SuperLU's SymmetricMode (geometry.LU_OPTIONS):
 J is structurally symmetric, and this factor has about half the entries of
 a COLAMD one.  Pivoting is not given up: the pivot threshold stays at 1, so
 a diagonal pivot is taken only when it is also the largest in its column.
+J goes through geometry.factor, which computes that ordering once per
+sparsity pattern and grid (J keeps one pattern along the branches seen so
+far), then permutes each J by it and factors it in natural order.  That is
+the same elimination order with the same diagonal pivots, so the factor has
+the same fill as a direct splu.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from scipy.sparse.linalg import splu
 
 from .analytics import BifurcationData, bifurcation_data
 from .errors import ComparisonError, EstimationError, GeometryError, NumericalError, ParameterError
-from .geometry import LU_OPTIONS, Grid, exterior_connected
+from .geometry import LU_OPTIONS, Grid, exterior_connected, factor
 from .model import Diffusion, ModelParams, State, jacobian, residual
 from .newton import NewtonOptions, SolutionClass, _damped_newton, classify_state, newton_solve
 
@@ -134,7 +139,7 @@ class _Corrector:
         # d(residual)/d(mu): only the predator rows depend on mu, via -mu*v
         f_mu = np.zeros(y.size - 1)
         f_mu[grid.n_cells:] = -y[grid.n_cells:-1]
-        delta = _eliminate(jac, f_mu, c_row, c_mu, fg)
+        delta = _eliminate(jac, f_mu, c_row, c_mu, fg, grid)
         if delta is not None:
             return delta
         self.fallbacks += 1
@@ -148,15 +153,16 @@ class _Corrector:
         return splu(bordered, **LU_OPTIONS).solve(-fg)
 
 
-def _eliminate(jac, f_mu, c_row, c_mu, fg, rtol=1e-10):
+def _eliminate(jac, f_mu, c_row, c_mu, fg, grid, rtol=1e-10):
     """Solve [[J, f_mu], [c, c_mu]] d = -fg with one LU of J (Keller's bordering).
 
-    The step is returned only if its bordered residual is within ``rtol`` of
-    ``|fg|`` in the max-norm, after at most one refinement step with the same
-    LU; otherwise, or if ``splu`` finds J singular, None.
+    J is factored through ``geometry.factor``, whose orderings are cached on
+    ``grid``.  The step is returned only if its bordered residual is within
+    ``rtol`` of ``|fg|`` in the max-norm, after at most one refinement step
+    with the same LU; otherwise, or if ``splu`` finds J singular, None.
     """
     try:
-        lu = splu(jac.tocsc(), **LU_OPTIONS)
+        lu = factor(splu, jac, grid)
     except RuntimeError:
         return None
     b = lu.solve(f_mu)

@@ -17,8 +17,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import ParameterError, StepError
 from .geometry import (
-    LU_OPTIONS, Grid, Region, _interior_faces, exterior_laplacian_block, neumann_laplacian,
-    predation_field,
+    LU_OPTIONS, Grid, Region, _interior_faces, exterior_laplacian_block, factor,
+    neumann_laplacian, predation_field,
 )
 from .model import Diffusion, ModelParams, State, _holling_denominator
 
@@ -38,6 +38,14 @@ class TimeOptions:
             raise ParameterError("dt > 0, steady_tol > 0 and t_max >= 0 required")
 
 
+def _csr_positions(mat: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Indices into ``mat.data`` of the stored entries (rows[k], cols[k]);
+    ``mat`` must be canonical (sorted indices, no duplicates)."""
+    n = mat.shape[1]
+    stored = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)) * n + mat.indices
+    return np.searchsorted(stored, rows * n + cols)
+
+
 class _Stepper:
     """Caches everything constant across steps for one (params, grid, dt)."""
 
@@ -55,28 +63,38 @@ class _Stepper:
         )
         self.pred_lu = splu(pred_matrix.tocsc(), **LU_OPTIONS)
 
-        self.lap_all = neumann_laplacian(grid, Region.ALL).matrix
+        lap_all = neumann_laplacian(grid, Region.ALL).matrix
         if params.variant is Diffusion.LINEAR:
-            prey_matrix = sp.identity(grid.n_cells, format="csr") / dt - self.lap_all
+            prey_matrix = sp.identity(grid.n_cells, format="csr") / dt - lap_all
             self.prey_lu = splu(prey_matrix.tocsc(), **LU_OPTIONS)
         else:
             self.prey_lu = None
-            faces_x, faces_y = _interior_faces(grid, Region.ALL)
-            self._faces = (faces_x, faces_y)
+            # I/dt - div(ubar grad .) has the Laplacian's pattern: each face
+            # (p, q) writes -c_f at (p, q) and (q, p) and adds c_f to both
+            # diagonals.  The pattern is symmetric, so its CSC arrays are
+            # the CSR ones.
+            (px, qx, wx), (py, qy, wy) = _interior_faces(grid, Region.ALL)
+            self._p, self._q = np.concatenate([px, py]), np.concatenate([qx, qy])
+            self._w = np.concatenate([np.full(px.size, wx), np.full(py.size, wy)])
+            self._pattern = (lap_all.indices, lap_all.indptr)
+            cells = np.arange(grid.n_cells)
+            self._pq = _csr_positions(lap_all, self._p, self._q)
+            self._qp = _csr_positions(lap_all, self._q, self._p)
+            self._diag = _csr_positions(lap_all, cells, cells)
 
-    def _frozen_flux_matrix(self, u: np.ndarray) -> sp.csc_matrix:
-        """div(ubar grad .) with arithmetic face means of the frozen u."""
-        rows, cols, vals = [], [], []
-        for p, q, w in self._faces:
-            coeff = 0.5 * (u[p] + u[q]) * w
-            rows.extend([p, q, p, q])
-            cols.extend([q, p, p, q])
-            vals.extend([coeff, coeff, -coeff, -coeff])
+    def _prey_matrix(self, u: np.ndarray) -> sp.csc_matrix:
+        """I/dt - div(ubar grad .) with arithmetic face means of the frozen u."""
         n = self.grid.n_cells
-        return sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        ).tocsc()
+        coeff = 0.5 * (u[self._p] + u[self._q]) * self._w
+        data = np.empty(self._pattern[0].size)
+        data[self._pq] = -coeff
+        data[self._qp] = -coeff
+        data[self._diag] = (
+            1.0 / self.dt
+            + np.bincount(self._p, coeff, minlength=n)
+            + np.bincount(self._q, coeff, minlength=n)
+        )
+        return sp.csc_matrix((data, *self._pattern), shape=(n, n))
 
     def advance(self, u: np.ndarray, v_ext: np.ndarray):
         """One IMEX step on raw arrays; returns (u_new, v_ext_new)."""
@@ -90,9 +108,8 @@ class _Stepper:
             if self.prey_lu is not None:
                 u_new = self.prey_lu.solve(u / dt + prey_reaction)
             else:
-                flux = self._frozen_flux_matrix(u)
-                matrix = sp.identity(self.grid.n_cells, format="csc") / dt - flux
-                u_new = splu(matrix, **LU_OPTIONS).solve(u / dt + prey_reaction)
+                prey_lu = factor(splu, self._prey_matrix(u), self.grid)
+                u_new = prey_lu.solve(u / dt + prey_reaction)
             pred_reaction = -params.mu * v_ext + params.c * u[ext] * v_ext / den[ext]
             v_new = self.pred_lu.solve(v_ext / dt + pred_reaction)
         except RuntimeError as exc:

@@ -302,6 +302,7 @@ class TestBorderedStep:
         import scipy.sparse as sp
 
         from refugebif.continuation import _eliminate
+        from refugebif.geometry import build_grid
 
         rng = np.random.default_rng(0)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
@@ -313,7 +314,7 @@ class TestBorderedStep:
             perm = rng.permutation(6)
             jac = jac[perm][:, perm]
         f_mu, c_row, fg = rng.standard_normal(6), rng.standard_normal(6), rng.standard_normal(7)
-        step = _eliminate(sp.csr_matrix(jac), f_mu, c_row, 0.0, fg)
+        step = _eliminate(sp.csr_matrix(jac), f_mu, c_row, 0.0, fg, build_grid(4))
         if not eliminated:
             assert step is None
             return

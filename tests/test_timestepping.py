@@ -161,3 +161,37 @@ class TestEvolveToSteady:
         via_step = step(p, init, 0.02)
         assert np.array_equal(states[0].u.values, via_step.u.values)
         assert np.array_equal(states[0].v.values, via_step.v.values)
+
+
+class TestPreyMatrix:
+    @staticmethod
+    def coo_build(grid, u, dt):
+        """The frozen-flux prey matrix I/dt - div(ubar grad .), built face by
+        face through COO (the reference for the fixed-pattern assembly)."""
+        import scipy.sparse as sp
+
+        from refugebif.geometry import _interior_faces
+
+        rows, cols, vals = [], [], []
+        for p, q, w in _interior_faces(grid, Region.ALL):
+            coeff = 0.5 * (u[p] + u[q]) * w
+            rows.extend([p, q, p, q])
+            cols.extend([q, p, p, q])
+            vals.extend([coeff, coeff, -coeff, -coeff])
+        n = grid.n_cells
+        flux = sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n, n),
+        ).tocsc()
+        return sp.identity(n, format="csc") / dt - flux
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.05])
+    def test_fixed_pattern_matches_coo_build(self, refuge_grid_16, dt):
+        from refugebif.timestepping import _Stepper
+
+        grid = refuge_grid_16
+        u = np.random.default_rng(3).uniform(0.01, 2.0, grid.n_cells)
+        matrix = _Stepper(make_params(), grid, dt)._prey_matrix(u)
+        ref = self.coo_build(grid, u, dt).toarray()
+        assert np.abs(matrix.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert matrix.nnz == np.count_nonzero(ref)
