@@ -4,7 +4,8 @@ The branch is seeded just below the onset mu_lambda with two points solved
 under the affine constraint avg_v = s (mu free), which steps off the
 predator-free curve without falling back into its Newton basin.  From there
 a secant predictor plus an arclength-constrained corrector walks the branch
-down to mu_min, with the last point retargeted to land on mu_min exactly.
+down to mu_min.  The last point is solved by the same corrector under the
+constraint mu = mu_min (a zero row with c_mu = 1), so it lands there exactly.
 Arclength is measured in the mesh-independent metric
 ||(dU, dmu)||^2 = cell_area * |dU|^2 + dmu^2.
 
@@ -44,6 +45,9 @@ from .geometry import LU_OPTIONS, Grid, exterior_connected, factor
 from .model import Diffusion, ModelParams, State, jacobian, residual
 from .newton import NewtonOptions, SolutionClass, _damped_newton, classify_state, newton_solve
 
+# avg_v of the first seed point, relative to lam; the second sits at twice that
+SEED_AVG_V = 1e-3
+
 
 @dataclass(frozen=True)
 class ContinuationOptions:
@@ -52,7 +56,6 @@ class ContinuationOptions:
     ds_initial_factor: float = 1e-3
     ds_max_factor: float = 0.05
     ds_min: float = 1e-6
-    seed_avg_v_factor: float = 1e-3  # first point's avg_v, relative to lam
     grow_iters: int = 3              # double the step when the corrector is this fast
     max_points: int = 5000
     corrector: NewtonOptions = field(default_factory=lambda: NewtonOptions(max_iters=12))
@@ -190,11 +193,6 @@ def _eliminate(jac, f_mu, c_row, c_mu, fg, grid, rtol=1e-10):
     return None
 
 
-def _is_positive(grid: Grid, y: np.ndarray) -> bool:
-    cls, _ = classify_state(State.unpack(grid, y[:-1]))
-    return cls is SolutionClass.POSITIVE
-
-
 def trace_branch(
     grid: Grid,
     params: ModelParams,
@@ -220,48 +218,43 @@ def trace_branch(
     area_weight = grid.cell_area
     corrector = _Corrector(grid, params, opts.corrector)
 
-    # avg_v over the exterior as an affine functional of the packed unknowns
-    avg_row = np.zeros(n_unknowns)
-    avg_row[n_cells:] = area_weight / onset.omega1_area
-
-    kern = onset.kernel_profile.values
-    slope = onset.slope_at_onset
-
-    def seed_point(s_target, y_guess):
-        y, iters, ok = corrector.solve(y_guess, avg_row, 0.0, s_target)
-        if not ok or not _is_positive(grid, y):
-            raise NumericalError(
-                f"failed to land on the positive branch at avg_v={s_target:g}"
-            )
-        return y, iters
-
-    s1 = opts.seed_avg_v_factor * params.lam
-    guess = np.empty(n_unknowns + 1)
-    guess[:n_cells] = params.lam - s1 * kern
-    guess[n_cells:-1] = s1
-    guess[-1] = mu_l + slope * s1
-    y1, iters1 = seed_point(s1, guess)
-
-    guess = y1.copy()
-    guess[:n_cells] -= s1 * kern
-    guess[n_cells:-1] += s1
-    guess[-1] += slope * s1
-    y2, iters2 = seed_point(2.0 * s1, guess)
+    def attempt(y0, c_row, c_mu, c_target):
+        """(y, iterations) if the corrector lands on a positive state, else None."""
+        y, iters, ok = corrector.solve(y0, c_row, c_mu, c_target)
+        cls, _ = classify_state(State.unpack(grid, y[:-1]))
+        return (y, iters) if ok and cls is SolutionClass.POSITIVE else None
 
     def make_point(y, iters):
-        state = State.unpack(grid, y[:-1])
-        v_ext = state.v.values[grid.exterior_cells]
+        v_ext = y[n_cells:-1]
         return BranchPoint(
             mu=float(y[-1]),
-            state=state,
+            state=State.unpack(grid, y[:-1]),
             avg_v=float(v_ext.sum() * area_weight / onset.omega1_area),
             max_v=float(v_ext.max()),
-            min_u=float(state.u.values.min()),
+            min_u=float(y[:n_cells].min()),
             newton_iters=iters,
         )
 
-    ys = [y1, y2]
-    points = [make_point(y1, iters1), make_point(y2, iters2)]
+    # seeds at avg_v = k * s1, k = 1, 2: each guess is the previous point,
+    # starting from (lam, 0, mu_lambda), plus delta = s1 * (-kernel, 1, mu'(0))
+    s1 = SEED_AVG_V * params.lam
+    avg_row = np.zeros(n_unknowns)
+    avg_row[n_cells:] = area_weight / onset.omega1_area
+    delta = np.concatenate(
+        [-s1 * onset.kernel_profile.values, np.full(grid.n_exterior, s1),
+         [onset.slope_at_onset * s1]]
+    )
+    y = np.concatenate([np.full(n_cells, params.lam), np.zeros(grid.n_exterior), [mu_l]])
+    ys, points = [], []
+    for k in (1, 2):
+        seed = attempt(y + delta, avg_row, 0.0, k * s1)
+        if seed is None:
+            raise NumericalError(
+                f"failed to land on the positive branch at avg_v={k * s1:g}"
+            )
+        y = seed[0]
+        ys.append(y)
+        points.append(make_point(*seed))
     if points[1].mu >= points[0].mu:
         raise NumericalError("seed points do not descend in mu; onset data inconsistent")
     if points[0].mu <= mu_min:
@@ -272,21 +265,11 @@ def trace_branch(
     def weighted_norm(dy):
         return float(np.sqrt(area_weight * (dy[:-1] @ dy[:-1]) + dy[-1] ** 2))
 
-    def retarget(y_from, target_mu):
-        """Fixed-mu Newton refinement used to land exactly on mu_min."""
-        state0 = State.unpack(grid, y_from[:-1])
-        solved, rep = newton_solve(
-            replace(params, mu=target_mu), state0, opts.corrector
-        )
-        if rep.converged and rep.classification is SolutionClass.POSITIVE:
-            y = np.concatenate([solved.pack(), [target_mu]])
-            return y, rep.iterations
-        return None, 0
-
     truncated = False
     diagnostic = ""
     ds = opts.ds_initial_factor * mu_l
     ds_max = opts.ds_max_factor * mu_l
+    land_row = np.zeros(n_unknowns)
 
     while points[-1].mu > mu_min:
         if len(points) >= opts.max_points:
@@ -300,23 +283,20 @@ def trace_branch(
             diagnostic = "secant tangent stopped descending in mu"
             break
 
-        accepted = None
         while True:
             y_pred = ys[-1] + ds * tangent
             if y_pred[-1] <= mu_min:
-                # final step: land on mu_min exactly, or creep closer first
-                y_ret, ret_iters = retarget(ys[-1], mu_min)
-                if y_ret is not None:
-                    accepted = (y_ret, ret_iters)
-                    break
+                # final step: from the last point, a zero row with c_mu = 1
+                # pins mu to mu_min exactly; failing that, creep closer first
+                y0 = np.append(ys[-1][:-1], mu_min)
+                c_row, c_mu, c_target = land_row, 1.0, mu_min
             else:
-                c_row = area_weight * tangent[:-1]
-                c_mu = float(tangent[-1])
-                c_target = float(c_row @ y_pred[:-1] + c_mu * y_pred[-1])
-                y_new, iters, ok = corrector.solve(y_pred, c_row, c_mu, c_target)
-                if ok and y_new[-1] < ys[-1][-1] and _is_positive(grid, y_new):
-                    accepted = (y_new, iters)
-                    break
+                y0, c_row, c_mu = y_pred, area_weight * tangent[:-1], float(tangent[-1])
+                c_target = float(c_row @ y0[:-1] + c_mu * y0[-1])
+            accepted = attempt(y0, c_row, c_mu, c_target)
+            if accepted is not None and accepted[0][-1] < ys[-1][-1]:
+                break
+            accepted = None
             ds *= 0.5
             if ds < opts.ds_min:
                 truncated = True

@@ -50,11 +50,10 @@ class Grid:
     """Uniform cell-centered mesh with a refuge partition.
 
     Cells are indexed flat as ``k = j * n_x + i`` (x fastest).
-    ``exterior_cells`` lists EXTERIOR flat indices in increasing order and
-    ``cell_to_exterior`` is its inverse (-1 on refuge cells).  Instances are
-    immutable after construction; ``_cache`` only memoizes operators that
-    are pure functions of the grid, and the LU orderings of ``factor``,
-    keyed by sparsity pattern.
+    ``exterior_cells`` lists EXTERIOR flat indices in increasing order.
+    Instances are immutable after construction; ``_cache`` only memoizes
+    operators that are pure functions of the grid, and the LU orderings of
+    ``factor``, keyed by sparsity pattern.
     """
 
     n_x: int
@@ -65,7 +64,6 @@ class Grid:
     refuge_box: tuple[float, float, float, float] | None
     cell_region: np.ndarray
     exterior_cells: np.ndarray
-    cell_to_exterior: np.ndarray
     cell_x: np.ndarray
     cell_y: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False)
@@ -175,14 +173,12 @@ def build_grid(
         box = (x0, y0, x1, y1)
 
     exterior = np.flatnonzero(region == EXTERIOR)
-    inverse = np.full(n_x * n_y, -1, dtype=np.int64)
-    inverse[exterior] = np.arange(exterior.size)
 
     xs = (np.arange(n_x) + 0.5) * h_x
     ys = (np.arange(n_y) + 0.5) * h_y
     cell_x = np.tile(xs, n_y)
     cell_y = np.repeat(ys, n_x)
-    for arr in (region, exterior, inverse, cell_x, cell_y):
+    for arr in (region, exterior, cell_x, cell_y):
         arr.setflags(write=False)
 
     return Grid(
@@ -194,7 +190,6 @@ def build_grid(
         refuge_box=box,
         cell_region=region,
         exterior_cells=exterior,
-        cell_to_exterior=inverse,
         cell_x=cell_x,
         cell_y=cell_y,
     )
@@ -325,7 +320,7 @@ def integrate(f: ScalarField, region: Region = Region.ALL) -> float:
 
 def predation_field(grid: Grid, b: float) -> ScalarField:
     """Attack-efficiency field: b outside the refuge, exactly 0 inside it."""
-    if b <= 0.0:
+    if not b > 0.0:
         raise ParameterError(f"attack efficiency b must be positive, got {b}")
     vals = np.where(grid.refuge_mask, 0.0, float(b))
     return ScalarField(grid, vals, Region.ALL)

@@ -103,7 +103,7 @@ class State:
 
 def semi_trivial_state(grid: Grid, lam: float) -> State:
     """The predator-free steady state (lam, 0); lam = 0 gives the trivial one."""
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ParameterError("lam must be non-negative")
     return State(
         ScalarField.constant(grid, lam, Region.ALL),

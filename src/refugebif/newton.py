@@ -145,7 +145,7 @@ def newton_solve(
 
 def initial_guess_on_branch(grid: Grid, params: ModelParams, s: float) -> State:
     """First-order branch state (lam - s*kernel, s); valid for small s >= 0."""
-    if s < 0.0:
+    if not s >= 0.0:
         raise GuessError("branch parameter s must be non-negative")
     kern = analytics.kernel_profile(grid, params)
     u = params.lam - s * kern.values

@@ -119,7 +119,7 @@ class _Stepper:
 
 def step(params: ModelParams, state: State, dt: float) -> State:
     """Advance one semi-implicit step (no clamping; refuge v stays exactly 0)."""
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ParameterError("dt must be positive")
     grid = state.grid
     u_new, v_new = _Stepper(params, grid, dt).advance(

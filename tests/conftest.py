@@ -28,9 +28,6 @@ def grid_with_regions(n, region_flat):
     base = build_grid(n)
     region = np.asarray(region_flat, dtype=np.int8).ravel()
     assert region.shape == (n * n,)
-    exterior = np.flatnonzero(region == EXTERIOR)
-    inverse = np.full(n * n, -1, dtype=np.int64)
-    inverse[exterior] = np.arange(exterior.size)
     return Grid(
         n_x=n,
         n_y=n,
@@ -39,8 +36,7 @@ def grid_with_regions(n, region_flat):
         domain_length=base.domain_length,
         refuge_box=None,
         cell_region=region,
-        exterior_cells=exterior,
-        cell_to_exterior=inverse,
+        exterior_cells=np.flatnonzero(region == EXTERIOR),
         cell_x=base.cell_x,
         cell_y=base.cell_y,
     )

@@ -66,6 +66,23 @@ class TestTraceBranch:
             assert not branch.truncated
             assert branch.points[-1].mu == 0.08
 
+    @pytest.mark.parametrize("variant", BOTH)
+    def test_landing_matches_fixed_mu_newton(self, refuge_grid_16, variant):
+        # the last point is the corrector's, under the constraint mu = mu_min;
+        # a plain Newton solve at mu_min from the point before is the reference
+        from dataclasses import replace
+
+        from refugebif.newton import newton_solve
+
+        mu_min, opts, p = 0.3, ContinuationOptions(), make_params(variant)
+        points = trace_branch(refuge_grid_16, p, mu_min, opts).points
+        assert points[-1].mu == mu_min
+        ref, rep = newton_solve(replace(p, mu=mu_min), points[-2].state, opts.corrector)
+        assert rep.converged
+        assert points[-1].newton_iters == rep.iterations
+        got = points[-1].state.pack()
+        assert np.abs(got - ref.pack()).max() <= 1e-12 * np.abs(ref.pack()).max()
+
     def test_newton_residual_contract(self, refuge_grid_16, branches_16):
         from refugebif.model import residual
         from dataclasses import replace

@@ -79,7 +79,8 @@ def test_every_factorization_uses_the_shared_ordering(recorded, variant):
     grid = build_grid(16, refuge_box=REFUGE_BOX)  # a cold ordering cache
     p = make_params(variant)
     branch = continuation.trace_branch(grid, p, 0.45)
-    newton.newton_solve(replace(p, mu=branch.points[-1].mu), branch.points[-1].state)
+    # started off the solution, so that newton_solve factors J at least once
+    newton.newton_solve(replace(p, mu=0.44), branch.points[-1].state)
     evolve_to_steady(p, branch.points[-1].state, TimeOptions(dt=1e-3, t_max=3e-3))
     analytics.bifurcation_data(grid, p)
     analytics.v_block_eigenvalue(grid, p, 0.4)
@@ -196,6 +197,6 @@ class TestFactor:
         for variant in BOTH:
             p = make_params(variant)
             last = continuation.trace_branch(grid, p, 0.45).points[-1]
-            newton.newton_solve(replace(p, mu=last.mu), last.state)
+            newton.newton_solve(replace(p, mu=0.44), last.state)  # off the solution
         assert sum(orderings.values()) == 1
         assert orderings_cached(grid) == 1

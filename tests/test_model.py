@@ -74,8 +74,9 @@ class TestSemiTrivialState:
         assert np.abs(residual(make_params(), st)).max() == 0.0
 
     def test_negative_lam_rejected(self, refuge_grid_16):
-        with pytest.raises(ParameterError):
-            semi_trivial_state(refuge_grid_16, -1.0)
+        for lam in (-1.0, np.nan):
+            with pytest.raises(ParameterError):
+                semi_trivial_state(refuge_grid_16, lam)
 
 
 class TestNonlinearDiffusion:

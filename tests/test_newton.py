@@ -152,5 +152,6 @@ class TestInitialGuess:
             initial_guess_on_branch(refuge_grid_16, p, s_bad)
 
     def test_negative_s_rejected(self, refuge_grid_16):
-        with pytest.raises(GuessError):
-            initial_guess_on_branch(refuge_grid_16, make_params(), -0.01)
+        for s in (-0.01, np.nan):
+            with pytest.raises(GuessError):
+                initial_guess_on_branch(refuge_grid_16, make_params(), s)

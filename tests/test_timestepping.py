@@ -60,8 +60,9 @@ class TestStep:
             assert np.all(st.v.values[refuge_grid_16.refuge_mask] == 0.0)
 
     def test_invalid_dt_rejected(self, refuge_grid_16):
-        with pytest.raises(ParameterError):
-            step(make_params(), positive_state(refuge_grid_16), 0.0)
+        for dt in (0.0, np.nan):
+            with pytest.raises(ParameterError):
+                step(make_params(), positive_state(refuge_grid_16), dt)
 
 
 class TestEvolveToSteady:
