@@ -11,6 +11,7 @@ makes row sums vanish identically (discrete conservation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -320,8 +321,8 @@ def integrate(f: ScalarField, region: Region = Region.ALL) -> float:
 
 def predation_field(grid: Grid, b: float) -> ScalarField:
     """Attack-efficiency field: b outside the refuge, exactly 0 inside it."""
-    if not b > 0.0:
-        raise ParameterError(f"attack efficiency b must be positive, got {b}")
+    if not (b > 0.0 and math.isfinite(b)):
+        raise ParameterError(f"attack efficiency b must be positive and finite, got {b}")
     vals = np.where(grid.refuge_mask, 0.0, float(b))
     return ScalarField(grid, vals, Region.ALL)
 

@@ -9,6 +9,7 @@ L diag(u); the linear variant uses L directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -59,10 +60,10 @@ class ModelParams:
     variant: Diffusion = Diffusion.NONLINEAR
 
     def __post_init__(self):
-        if not all(x > 0.0 for x in (self.lam, self.c, self.b, self.d)):
-            raise ParameterError("lam, c, b and d must all be positive")
-        if not (self.mu >= 0.0 and self.m >= 0.0):
-            raise ParameterError("mu and m must be non-negative")
+        if not all(x > 0.0 and math.isfinite(x) for x in (self.lam, self.c, self.b, self.d)):
+            raise ParameterError("lam, c, b and d must all be positive and finite")
+        if not all(x >= 0.0 and math.isfinite(x) for x in (self.mu, self.m)):
+            raise ParameterError("mu and m must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,8 @@ class State:
 
 def semi_trivial_state(grid: Grid, lam: float) -> State:
     """The predator-free steady state (lam, 0); lam = 0 gives the trivial one."""
-    if not lam >= 0.0:
-        raise ParameterError("lam must be non-negative")
+    if not (lam >= 0.0 and math.isfinite(lam)):
+        raise ParameterError("lam must be non-negative and finite")
     return State(
         ScalarField.constant(grid, lam, Region.ALL),
         ScalarField.constant(grid, 0.0, Region.EXTERIOR),

@@ -4,10 +4,23 @@ Diffusion is implicit with coefficients frozen at the current step (prey
 flux div(u^n grad u^{n+1}), predator d * L v^{n+1}); the reaction terms
 stay explicit.  Fixed points of one step are exactly the
 discrete steady states of the model residual, independent of dt.
+
+The linear variant's prey matrix and the predator matrix are constant, so
+each is factored once.  The nonlinear prey matrix A = I/dt - div(ubar grad .)
+changes every step but slowly, since u moves by O(dt).  A stepper's first
+step factors it.  Later steps solve A x = b by conjugate gradients
+preconditioned with the last LU, started from x = LU^-1 b, and accept x only
+when the true residual is at the round-off floor a direct solve reaches,
+|b - A x|_inf <= 10 eps (|A|_inf |x|_inf + |b|_inf).  A solve that needed
+more than REFRESH_ITERS iterations is accepted and A is factored for the
+next steps.  With no acceptance within MAX_CG_ITERS, or a curvature p.Ap
+that is not positive and finite (unclamped, A can be indefinite), the step
+falls back to a fresh LU of A and a direct solve, as on the first step.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -24,6 +37,12 @@ from .model import Diffusion, ModelParams, State, _holling_denominator
 
 # clamped negative-undershoot budget before a run is flagged
 CLAMP_WARN_FRACTION = 1e-3
+# stale-LU CG on the nonlinear prey matrix: refactor after a solve that took
+# more than REFRESH_ITERS iterations; fall back to a direct solve after
+# MAX_CG_ITERS; accept at ROUNDOFF_FACTOR times the round-off scale
+REFRESH_ITERS = 3
+MAX_CG_ITERS = 12
+ROUNDOFF_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -36,6 +55,8 @@ class TimeOptions:
     def __post_init__(self):
         if not (self.dt > 0.0 and self.steady_tol > 0.0 and self.t_max >= 0.0):
             raise ParameterError("dt > 0, steady_tol > 0 and t_max >= 0 required")
+        if not all(math.isfinite(x) for x in (self.dt, self.t_max, self.steady_tol)):
+            raise ParameterError("dt, t_max and steady_tol must be finite")
 
 
 def _csr_positions(mat: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -44,6 +65,37 @@ def _csr_positions(mat: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np
     n = mat.shape[1]
     stored = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)) * n + mat.indices
     return np.searchsorted(stored, rows * n + cols)
+
+
+def _stale_lu_cg(a: sp.csc_matrix, b: np.ndarray, lu):
+    """Solve the symmetric system ``a x = b`` by CG preconditioned with ``lu``,
+    the LU of a nearby matrix, from x = lu^-1 b.
+
+    Returns ``(x, iterations)`` for the first iterate whose true residual is
+    within ROUNDOFF_FACTOR * eps * (|a| |x| + |b|) in the max-norm, or None
+    if none is within MAX_CG_ITERS or a curvature p.Ap (or r.z) is not
+    positive and finite.
+    """
+    # a is symmetric, so its column sums are its row sums
+    a_norm = np.add.reduceat(np.abs(a.data), a.indptr[:-1]).max()
+    b_norm = np.abs(b).max()
+    scale = ROUNDOFF_FACTOR * np.finfo(float).eps
+    x = lu.solve(b)
+    for k in range(MAX_CG_ITERS + 1):
+        r = b - a @ x
+        if np.abs(r).max() <= scale * (a_norm * np.abs(x).max() + b_norm):
+            return x, k
+        if k == MAX_CG_ITERS:
+            return None
+        z = lu.solve(r)
+        rz = r @ z
+        p = z if k == 0 else z + (rz / rz_old) * p
+        ap = a @ p
+        curvature = p @ ap
+        if not (rz > 0.0 and 0.0 < curvature < np.inf):
+            return None
+        x = x + (rz / curvature) * p
+        rz_old = rz
 
 
 class _Stepper:
@@ -69,6 +121,7 @@ class _Stepper:
             self.prey_lu = splu(prey_matrix.tocsc(), **LU_OPTIONS)
         else:
             self.prey_lu = None
+            self._lu = None  # the last factored prey matrix's PermutedLU
             # I/dt - div(ubar grad .) has the Laplacian's pattern: each face
             # (p, q) writes -c_f at (p, q) and (q, p) and adds c_f to both
             # diagonals.  The pattern is symmetric, so its CSC arrays are
@@ -96,6 +149,17 @@ class _Stepper:
         )
         return sp.csc_matrix((data, *self._pattern), shape=(n, n))
 
+    def _solve_prey(self, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve the nonlinear prey system, by stale-LU CG when it is accepted."""
+        a = self._prey_matrix(u)
+        solved = None if self._lu is None else _stale_lu_cg(a, rhs, self._lu)
+        if solved is not None and solved[1] <= REFRESH_ITERS:
+            return solved[0]
+        # drop the old factor first, so that two are never alive at once
+        self._lu = None
+        self._lu = factor(splu, a, self.grid)
+        return self._lu.solve(rhs) if solved is None else solved[0]
+
     def advance(self, u: np.ndarray, v_ext: np.ndarray):
         """One IMEX step on raw arrays; returns (u_new, v_ext_new)."""
         params, dt, ext = self.params, self.dt, self.ext
@@ -108,8 +172,7 @@ class _Stepper:
             if self.prey_lu is not None:
                 u_new = self.prey_lu.solve(u / dt + prey_reaction)
             else:
-                prey_lu = factor(splu, self._prey_matrix(u), self.grid)
-                u_new = prey_lu.solve(u / dt + prey_reaction)
+                u_new = self._solve_prey(u, u / dt + prey_reaction)
             pred_reaction = -params.mu * v_ext + params.c * u[ext] * v_ext / den[ext]
             v_new = self.pred_lu.solve(v_ext / dt + pred_reaction)
         except RuntimeError as exc:
@@ -119,8 +182,8 @@ class _Stepper:
 
 def step(params: ModelParams, state: State, dt: float) -> State:
     """Advance one semi-implicit step (no clamping; refuge v stays exactly 0)."""
-    if not dt > 0.0:
-        raise ParameterError("dt must be positive")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ParameterError("dt must be positive and finite")
     grid = state.grid
     u_new, v_new = _Stepper(params, grid, dt).advance(
         state.u.values, state.v.values[grid.exterior_cells]

@@ -9,8 +9,9 @@ import tracing  # noqa: E402
 from conftest import REFUGE_BOX  # noqa: E402
 from refugebif import continuation, newton  # noqa: E402
 from refugebif.analytics import bifurcation_data  # noqa: E402
-from refugebif.geometry import build_grid  # noqa: E402
-from refugebif.model import Diffusion, ModelParams  # noqa: E402
+from refugebif.geometry import Region, ScalarField, build_grid  # noqa: E402
+from refugebif.model import Diffusion, ModelParams, State  # noqa: E402
+from refugebif.timestepping import TimeOptions, evolve_to_steady  # noqa: E402
 
 
 def test_tracer_install_rebinds_and_uninstall_restores():
@@ -43,3 +44,25 @@ def test_tracer_sees_both_factorizations_of_a_cold_pattern():
     assert len(spans) > 2 and all(s["nnz"] > 0 for s in spans)
     # the first J is factored twice, once for its ordering, with the same fill
     assert spans[0]["nnz"] == spans[1]["nnz"]
+
+
+def test_tracer_counts_the_prey_factorizations_of_a_nonlinear_run():
+    # the stepper factors through timestepping's own splu, so the tracer's
+    # timestepping.splu_calls counts every prey LU, and the stale-LU CG
+    # steps leave fewer of them than steps
+    grid = build_grid(16, refuge_box=REFUGE_BOX)
+    p = ModelParams(lam=1.0, mu=0.4, c=1.0, m=1.0, b=1.0, variant=Diffusion.NONLINEAR)
+    initial = State(
+        ScalarField.constant(grid, 0.5), ScalarField.constant(grid, 0.1, Region.EXTERIOR)
+    )
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        with tracer.recording("simulate-style"):
+            evolve_to_steady(p, initial, TimeOptions(dt=0.05, t_max=5.0))
+    finally:
+        tracer.uninstall()
+    names = [s["name"] for s in tracer.spans]
+    steps, lus = names.count("timestepping.step"), names.count("timestepping.splu")
+    assert steps == 100
+    assert 0 < lus < steps

@@ -107,7 +107,7 @@ class TestPredationField:
         assert (f.values == 0.0).sum() == 4
         assert np.all(f.values[g.refuge_mask] == 0.0)
 
-    @pytest.mark.parametrize("b", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("b", [0.0, -1.0, np.nan, np.inf])
     def test_nonpositive_b_rejected(self, b):
         g = build_grid(6)
         with pytest.raises(ParameterError):

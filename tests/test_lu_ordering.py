@@ -98,14 +98,33 @@ def test_every_factorization_uses_the_shared_ordering(recorded, variant):
     patterns = {pattern(a) for a, _ in factored}
     assert len(patterns) == (2 if nonlinear else 1) == orderings_cached(grid)
     assert ordered["continuation"] == 1 and ordered["newton"] == 0
-    # the predator LU, plus the prey pattern's ordering and one pre-ordered
-    # prey LU per nonlinear step, or the one shared linear prey LU
+    # the predator LU, plus the prey pattern's ordering and the first step's
+    # pre-ordered prey LU (the other two steps reuse it for CG), or the one
+    # shared linear prey LU
     assert ordered["timestepping"] == 2
-    assert preordered["timestepping"] == (3 if nonlinear else 0)
-    assert per_module["timestepping"] == (5 if nonlinear else 2)
+    assert preordered["timestepping"] == (1 if nonlinear else 0)
+    assert per_module["timestepping"] == (3 if nonlinear else 2)
     assert sum(preordered.values()) == len(factored)
 
     # the pre-ordered factor has the fill of the direct one
+    for a, lu in factored:
+        assert lu.lu.nnz == splu(a, **LU_OPTIONS).nnz
+
+
+def test_refreshed_prey_lu_uses_the_shared_ordering(recorded):
+    # a jump in u leaves the stale LU too far from the prey matrix for CG,
+    # so the step factors it again, pre-ordered with the cached ordering
+    grid = build_grid(16, refuge_box=REFUGE_BOX)
+    stepper = timestepping._Stepper(make_params(Diffusion.NONLINEAR), grid, 0.05)
+    u, v_ext = np.full(grid.n_cells, 0.8), np.full(grid.n_exterior, 0.1)
+    stepper.advance(u, v_ext)
+    stepper.advance(20.0 * u, v_ext)
+
+    calls, factored = recorded
+    kinds = [kwargs for name, kwargs in calls if name == "timestepping"]
+    # predator, prey ordering, first prey LU, refreshed prey LU
+    assert kinds == [LU_OPTIONS, LU_OPTIONS, PREORDERED_LU_OPTIONS, PREORDERED_LU_OPTIONS]
+    assert len(factored) == 2 and orderings_cached(grid) == 1
     for a, lu in factored:
         assert lu.lu.nnz == splu(a, **LU_OPTIONS).nnz
 

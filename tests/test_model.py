@@ -49,7 +49,9 @@ class TestModelParams:
     @pytest.mark.parametrize(
         "kw",
         [dict(lam=0.0), dict(lam=-1.0), dict(c=0.0), dict(b=-0.5), dict(d=0.0),
-         dict(mu=-0.1), dict(m=-1.0), dict(lam=np.nan), dict(mu=np.nan)],
+         dict(mu=-0.1), dict(m=-1.0), dict(lam=np.nan), dict(mu=np.nan),
+         dict(lam=np.inf), dict(mu=np.inf), dict(c=np.inf), dict(m=np.inf), dict(b=np.inf),
+         dict(d=np.inf)],
     )
     def test_invalid_rejected(self, kw):
         with pytest.raises(ParameterError):
@@ -74,7 +76,7 @@ class TestSemiTrivialState:
         assert np.abs(residual(make_params(), st)).max() == 0.0
 
     def test_negative_lam_rejected(self, refuge_grid_16):
-        for lam in (-1.0, np.nan):
+        for lam in (-1.0, np.nan, np.inf):
             with pytest.raises(ParameterError):
                 semi_trivial_state(refuge_grid_16, lam)
 

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
+from refugebif import timestepping
 from refugebif.errors import ParameterError
-from refugebif.geometry import Region, ScalarField, integrate
+from refugebif.geometry import Region, ScalarField, factor, integrate
 from refugebif.model import Diffusion, ModelParams, State, residual, semi_trivial_state
-from refugebif.timestepping import TimeOptions, evolve_to_steady, step
+from refugebif.timestepping import TimeOptions, _Stepper, _stale_lu_cg, evolve_to_steady, step
 
 BOTH = [Diffusion.NONLINEAR, Diffusion.LINEAR]
 
@@ -27,7 +29,7 @@ def positive_state(grid, u0=0.8, v0=0.1):
 class TestOptions:
     @pytest.mark.parametrize(
         "kw", [dict(dt=0.0), dict(dt=-1.0), dict(steady_tol=0.0), dict(t_max=-1.0),
-               dict(dt=np.nan)]
+               dict(dt=np.nan), dict(dt=np.inf), dict(t_max=np.inf), dict(steady_tol=np.inf)]
     )
     def test_invalid_rejected(self, kw):
         with pytest.raises(ParameterError):
@@ -60,7 +62,7 @@ class TestStep:
             assert np.all(st.v.values[refuge_grid_16.refuge_mask] == 0.0)
 
     def test_invalid_dt_rejected(self, refuge_grid_16):
-        for dt in (0.0, np.nan):
+        for dt in (0.0, np.nan, np.inf):
             with pytest.raises(ParameterError):
                 step(make_params(), positive_state(refuge_grid_16), dt)
 
@@ -162,6 +164,89 @@ class TestEvolveToSteady:
         via_step = step(p, init, 0.02)
         assert np.array_equal(states[0].u.values, via_step.u.values)
         assert np.array_equal(states[0].v.values, via_step.v.values)
+
+
+class TestStaleLuSolve:
+    """The nonlinear prey system is solved by CG on the last LU when that
+    reaches the round-off floor of a direct solve, and by a fresh LU if not."""
+
+    @pytest.mark.filterwarnings("ignore:clamped")
+    @pytest.mark.parametrize("clamp", [True, False])
+    @pytest.mark.parametrize("dt", [1e-3, 0.05])
+    def test_evolve_matches_fresh_lu_steps(self, refuge_grid_16, dt, clamp):
+        # a predator surge drives u below 0: clamped, or left negative so that
+        # the prey matrix loses definiteness.  Every step() call builds a new
+        # stepper, so it factors on every step.
+        p = make_params(mu=0.3)
+        state = positive_state(refuge_grid_16, u0=0.3, v0=1.5 / dt)
+        opts = TimeOptions(dt=dt, t_max=300 * dt, steady_tol=1e-2, clamp_negative=clamp)
+        evolved, clamped = [], []
+        final, steady = evolve_to_steady(
+            p, state, opts, lambda k, t, s, c: (evolved.append(s.pack()), clamped.append(c))
+        )
+        fresh = []
+        for _ in evolved:
+            new = step(p, state, dt)
+            packed = np.maximum(new.pack(), 0.0) if clamp else new.pack()
+            change = np.abs(packed - state.pack()).max() / dt
+            state = State.unpack(refuge_grid_16, packed)
+            fresh.append(packed)
+            if change < opts.steady_tol:
+                break
+        assert len(fresh) == len(evolved) and steady == (change < opts.steady_tol)
+        for a, b in zip(evolved, fresh):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        if clamp:
+            assert sum(clamped) > 0
+        else:
+            assert min(a.min() for a in evolved) < 0.0
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.05])
+    def test_far_or_indefinite_matrix_is_refused(self, refuge_grid_16, dt):
+        grid = refuge_grid_16
+        stepper = _Stepper(make_params(), grid, dt)
+        stale = np.full(grid.n_cells, 0.8)
+        rng = np.random.default_rng(4)
+        rhs = rng.standard_normal(grid.n_cells)
+        far = rng.uniform(0.01, 5.0, grid.n_cells)
+        indefinite = np.full(grid.n_cells, -1.0)  # negative face coefficients
+        assert np.linalg.eigvalsh(stepper._prey_matrix(indefinite).toarray()).min() < 0.0
+        for u in (far, indefinite):
+            a = stepper._prey_matrix(u)
+            stepper._lu = factor(splu, stepper._prey_matrix(stale), grid)
+            assert _stale_lu_cg(a, rhs, stepper._lu) is None
+            fallback = stepper._solve_prey(u, rhs)
+            assert np.array_equal(fallback, factor(splu, a, grid).solve(rhs))
+
+    def test_near_matrix_is_accepted_at_the_roundoff_floor(self, refuge_grid_16):
+        grid = refuge_grid_16
+        stepper = _Stepper(make_params(), grid, 0.05)
+        u = np.random.default_rng(5).uniform(0.2, 1.5, grid.n_cells)
+        rhs = u / 0.05
+        a = stepper._prey_matrix(u)
+        x, iters = _stale_lu_cg(a, rhs, factor(splu, stepper._prey_matrix(1.001 * u), grid))
+        assert 0 < iters <= timestepping.REFRESH_ITERS
+        direct = factor(splu, a, grid).solve(rhs)
+        assert np.abs(x - direct).max() <= 1e-13 * np.abs(direct).max()
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.05])
+    def test_few_factorizations_per_step(self, refuge_grid_16, monkeypatch, dt):
+        lus = []
+
+        def counting(a, **kwargs):
+            lus.append(kwargs)
+            return splu(a, **kwargs)
+
+        monkeypatch.setattr(timestepping, "splu", counting)
+        steps = []
+        evolve_to_steady(
+            make_params(),
+            positive_state(refuge_grid_16),
+            TimeOptions(dt=dt, t_max=200 * dt, steady_tol=1e-14),
+            lambda k, t, s, c: steps.append(k),
+        )
+        assert len(steps) == 200
+        assert len(lus) < len(steps) / 10
 
 
 class TestPreyMatrix:
