@@ -10,14 +10,23 @@ Arclength is measured in the mesh-independent metric
 ||(dU, dmu)||^2 = cell_area * |dU|^2 + dmu^2.
 
 Each corrector iteration solves the bordered system
-[[J, f_mu], [c, c_mu]] (dU, dmu) = -(f, g) by block elimination (Keller's
-bordering lemma): one LU of the Jacobian J gives J a = -f and J b = f_mu,
-then dmu = (-g - c.a) / (c_mu - c.b) and dU = a - dmu * b.  J is singular at
-the onset and the seeds sit just below it, so the step is guarded: if the
-bordered residual exceeds 1e-10 of |(f, g)| in the max-norm, one step of
-iterative refinement with the same LU follows, and a step that still fails,
-is not finite, or whose J will not factor is solved instead with an LU of the
-bordered matrix (Govaerts 2000, ch. 3).
+A (dU, dmu) = -(f, g), A = [[J, f_mu], [c, c_mu]], by block elimination
+(Keller's bordering lemma): an LU of the Jacobian J gives J a = -f and
+J b = f_mu, then dmu = (-g - c.a) / (c_mu - c.b) and dU = a - dmu * b.
+The corrector keeps the last LU of J it made on the branch and uses that
+elimination as a right preconditioner for GMRES on A, started from the
+eliminated step (Uecker, Wetzel & Rademacher 2014 reuse factors the same
+way).  J changes little from one iterate or point to the next, so a few
+iterations with the stale LU replace a fresh one, which costs about 30
+solves.  Every step is guarded, since J is singular at the onset and the
+seeds sit just below it: a step is kept only if it is finite and its true
+bordered residual is within the larger of 1e-10 |(f, g)| and the round-off
+floor ROUNDOFF_FACTOR eps |J| |d| in the max-norm.  A step that GMRES
+cannot bring under the guard within GMRES_ITERS iterations is solved again
+with a fresh LU of J: by the eliminated step itself, which almost always
+passes, or else after one GMRES iteration, which refines it.  Failing that
+too, or if J will not factor, it is solved with an LU of the bordered
+matrix (Govaerts 2000, ch. 3).
 
 Every LU here, as everywhere in the package, is ordered by minimum degree
 on the pattern of J^T + J with SuperLU's SymmetricMode (geometry.LU_OPTIONS):
@@ -33,20 +42,29 @@ the same fill as a direct splu.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import norm as sparse_norm
 from scipy.sparse.linalg import splu
 
 from .analytics import BifurcationData, bifurcation_data
 from .errors import ComparisonError, EstimationError, GeometryError, NumericalError, ParameterError
-from .geometry import LU_OPTIONS, Grid, exterior_connected, factor
+from .geometry import LU_OPTIONS, ROUNDOFF_FACTOR, Grid, exterior_connected, factor
 from .model import Diffusion, ModelParams, State, jacobian, residual
 from .newton import NewtonOptions, SolutionClass, _damped_newton, classify_state, newton_solve
 
 # avg_v of the first seed point, relative to lam; the second sits at twice that
 SEED_AVG_V = 1e-3
+# a corrector step is kept when its bordered residual is within STEP_RTOL of
+# |(f, g)|, or at the round-off floor, in the max-norm (see the docstring)
+STEP_RTOL = 1e-10
+# GMRES iterations a step may take with the last LU of J before J is
+# factored afresh, and with a fresh LU (one refinement step)
+GMRES_ITERS = 10
+REFINE_ITERS = 1
 
 
 @dataclass(frozen=True)
@@ -111,15 +129,19 @@ class BranchComparison:
 class _Corrector:
     """Damped Newton on the bordered map [residual(U, mu); affine constraint].
 
-    ``fallbacks`` counts the Newton steps that block elimination could not
-    give and the LU of the bordered matrix did (see the module docstring).
+    Counters, in Newton steps: ``krylov_steps`` solved with the last LU of J,
+    ``factorizations`` of J, and ``fallbacks`` to the LU of the bordered
+    matrix (see the module docstring).
     """
 
     def __init__(self, grid: Grid, params: ModelParams, opts: NewtonOptions):
         self.grid = grid
         self.params = params
         self.opts = opts
+        self.krylov_steps = 0
+        self.factorizations = 0
         self.fallbacks = 0
+        self._lu = None  # the last PermutedLU of J that gave a kept step
 
     def solve(self, y0, c_row, c_mu, c_target):
         """Return (y, iterations, converged); the constraint is affine in y."""
@@ -142,7 +164,14 @@ class _Corrector:
         # d(residual)/d(mu): only the predator rows depend on mu, via -mu*v
         f_mu = np.zeros(y.size - 1)
         f_mu[grid.n_cells:] = -y[grid.n_cells:-1]
-        delta = _eliminate(jac, f_mu, c_row, c_mu, fg, grid)
+        system = _Bordered(jac, f_mu, c_row, c_mu, fg)
+        delta = self._stale_step(system)
+        if delta is not None:
+            self.krylov_steps += 1
+            return delta
+        # drop the stale factor first, so that two are never alive at once
+        self.release()
+        delta = self._fresh_step(system)
         if delta is not None:
             return delta
         self.fallbacks += 1
@@ -155,41 +184,114 @@ class _Corrector:
         )
         return splu(bordered, **LU_OPTIONS).solve(-fg)
 
+    def release(self):
+        """Drop the kept LU of J, and return its freed pages to the system."""
+        if self._lu is not None:
+            self._lu = None
+            _release_free_memory()
 
-def _eliminate(jac, f_mu, c_row, c_mu, fg, grid, rtol=1e-10):
-    """Solve [[J, f_mu], [c, c_mu]] d = -fg with one LU of J (Keller's bordering).
+    def _stale_step(self, system):
+        """The guarded step preconditioned with the last LU of J, or None."""
+        return None if self._lu is None else _guarded_gmres(system, self._lu, GMRES_ITERS)
 
-    J is factored through ``geometry.factor``, whose orderings are cached on
-    ``grid``.  The step is returned only if its bordered residual is within
-    ``rtol`` of ``|fg|`` in the max-norm, after at most one refinement step
-    with the same LU; otherwise, or if ``splu`` finds J singular, None.
+    def _fresh_step(self, system):
+        """The guarded step with a fresh LU of J, which is kept; or None."""
+        try:
+            lu = factor(splu, system.jac, self.grid)
+        except RuntimeError:
+            return None
+        self.factorizations += 1
+        delta = _guarded_gmres(system, lu, REFINE_ITERS)
+        if delta is not None:
+            self._lu = lu
+        return delta
+
+
+def _release_free_memory():
+    """Return free heap pages to the system, where the C library has malloc_trim.
+
+    SuperLU sizes its factor arrays generously and writes only part of them.
+    A kept LU sits below the branch points made after it, so once freed it
+    leaves a hole in the heap that the C library does not give back, and
+    later factors and arrays at other offsets in it make more of its pages
+    resident: at n = 64 this raised the peak RSS of two Fig. 1 traces by
+    about 12 MB.  glibc's malloc_trim(0) releases the hole's free pages.
     """
     try:
-        lu = factor(splu, jac, grid)
-    except RuntimeError:
-        return None
-    b = lu.solve(f_mu)
-    den = c_mu - c_row @ b
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
 
-    def apply_inverse(r):
-        a = lu.solve(r[:-1])
-        d_mu = (r[-1] - c_row @ a) / den
-        return np.concatenate([a - d_mu * b, [d_mu]])
 
-    def bordered_residual(d):
+class _Bordered:
+    """The corrector's Newton system A d = -fg, A = [[J, f_mu], [c, c_mu]]."""
+
+    def __init__(self, jac, f_mu, c_row, c_mu, fg):
+        self.jac, self.f_mu, self.c_row, self.c_mu, self.fg = jac, f_mu, c_row, c_mu, fg
+        self._floor = ROUNDOFF_FACTOR * np.finfo(float).eps * sparse_norm(jac, np.inf)
+        self._rtol = STEP_RTOL * np.abs(fg).max()
+
+    def matvec(self, d):
         d_u, d_mu = d[:-1], d[-1]
-        r_u = jac @ d_u + f_mu * d_mu
-        return np.concatenate([r_u, [c_row @ d_u + c_mu * d_mu]]) + fg
+        return np.append(self.jac @ d_u + self.f_mu * d_mu, self.c_row @ d_u + self.c_mu * d_mu)
 
-    tol = rtol * np.abs(fg).max()
+    def accepts(self, d, r):
+        """The step guard on d, whose bordered residual A d + fg is r."""
+        tol = max(self._rtol, self._floor * np.abs(d).max())
+        return np.abs(r).max() <= tol and np.all(np.isfinite(d))
+
+    def eliminator(self, lu):
+        """r -> A^-1 r by block elimination with ``lu``, an LU of J or of a
+        nearby matrix, in which case it is only approximate."""
+        b = lu.solve(self.f_mu)
+        den = self.c_mu - self.c_row @ b
+
+        def apply_inverse(r):
+            a = lu.solve(r[:-1])
+            d_mu = (r[-1] - self.c_row @ a) / den
+            return np.append(a - d_mu * b, d_mu)
+
+        return apply_inverse
+
+
+def _guarded_gmres(system: _Bordered, lu, max_iters: int):
+    """Solve ``system`` by GMRES right-preconditioned by block elimination with ``lu``.
+
+    Starts from the eliminated step and returns the first iterate that
+    passes the step guard on its true residual, within ``max_iters``
+    iterations; None if none does.  With a fresh LU of J the start is
+    Keller's block elimination, and one iteration refines it.
+    """
+    apply_inverse = system.eliminator(lu)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = apply_inverse(-fg)
-        r = bordered_residual(d)
-        if not np.abs(r).max() <= tol:
-            d = d + apply_inverse(-r)
-            r = bordered_residual(d)
-    if np.abs(r).max() <= tol and np.all(np.isfinite(d)):
-        return d
+        d0 = apply_inverse(-system.fg)
+        r = system.matvec(d0) + system.fg
+        if system.accepts(d0, r):
+            return d0
+        beta = np.linalg.norm(r)
+        if not np.isfinite(beta):
+            return None
+        # Arnoldi on A M^-1: orthonormal basis, preconditioned directions
+        basis, directions = [-r / beta], []
+        hess = np.zeros((max_iters + 1, max_iters))
+        for k in range(max_iters):
+            directions.append(apply_inverse(basis[k]))
+            w = system.matvec(directions[k])
+            for i, v in enumerate(basis):
+                hess[i, k] = v @ w
+                w = w - hess[i, k] * v
+            hess[k + 1, k] = np.linalg.norm(w)
+            if not np.isfinite(hess[k + 1, k]):
+                return None
+            basis.append(w / hess[k + 1, k])
+            rhs = np.zeros(k + 2)
+            rhs[0] = beta
+            coeffs = np.linalg.lstsq(hess[: k + 2, : k + 1], rhs)[0]
+            d = d0 + np.column_stack(directions) @ coeffs
+            if system.accepts(d, system.matvec(d) + system.fg):
+                return d
     return None
 
 
@@ -313,6 +415,7 @@ def trace_branch(
         if iters <= opts.grow_iters:
             ds = min(2.0 * ds, ds_max)
 
+    corrector.release()
     return Branch(
         variant=params.variant,
         params=params,

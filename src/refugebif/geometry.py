@@ -37,6 +37,9 @@ _ALIGN_RTOL = 1e-9
 # symmetrically pre-permuted matrix with PREORDERED_LU_OPTIONS.
 LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
 PREORDERED_LU_OPTIONS = {"permc_spec": "NATURAL", "options": {"SymmetricMode": True}}
+# Residual guards on solves by a stale LU accept at ROUNDOFF_FACTOR * eps *
+# |A| |x| in the max-norm, about the round-off floor a direct solve reaches.
+ROUNDOFF_FACTOR = 10.0
 
 
 class Region(Enum):

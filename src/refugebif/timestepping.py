@@ -30,8 +30,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import ParameterError, StepError
 from .geometry import (
-    LU_OPTIONS, Grid, Region, _interior_faces, exterior_laplacian_block, factor,
-    neumann_laplacian, predation_field,
+    LU_OPTIONS, ROUNDOFF_FACTOR, Grid, Region, _interior_faces, exterior_laplacian_block,
+    factor, neumann_laplacian, predation_field,
 )
 from .model import Diffusion, ModelParams, State, _holling_denominator
 
@@ -39,10 +39,9 @@ from .model import Diffusion, ModelParams, State, _holling_denominator
 CLAMP_WARN_FRACTION = 1e-3
 # stale-LU CG on the nonlinear prey matrix: refactor after a solve that took
 # more than REFRESH_ITERS iterations; fall back to a direct solve after
-# MAX_CG_ITERS; accept at ROUNDOFF_FACTOR times the round-off scale
+# MAX_CG_ITERS; accept at geometry.ROUNDOFF_FACTOR times the round-off scale
 REFRESH_ITERS = 3
 MAX_CG_ITERS = 12
-ROUNDOFF_FACTOR = 10.0
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,31 @@ from refugebif.errors import ComparisonError, EstimationError, GeometryError, Pa
 from refugebif.model import Diffusion, ModelParams
 from refugebif.newton import SolutionClass, classify_state
 
-from conftest import disconnected_grid
+from conftest import REFUGE_BOX, disconnected_grid
 
 BOTH = [Diffusion.NONLINEAR, Diffusion.LINEAR]
+
+
+def shifted_splu(splu, n_unknowns, shift):
+    """``splu`` that factors J + shift * I in place of any n_unknowns-square J."""
+    import scipy.sparse as sp
+
+    def wrapped(a, **kwargs):
+        if a.shape == (n_unknowns, n_unknowns):
+            a = (a + shift * sp.identity(n_unknowns)).tocsc()
+        return splu(a, **kwargs)
+
+    return wrapped
+
+
+def counting_splu(splu, counts):
+    """``splu`` that counts its calls by the size of the matrix factored."""
+
+    def wrapped(a, **kwargs):
+        counts[a.shape[0]] = counts.get(a.shape[0], 0) + 1
+        return splu(a, **kwargs)
+
+    return wrapped
 
 
 def make_params(variant=Diffusion.NONLINEAR, **kw):
@@ -318,8 +340,9 @@ class TestBorderedStep:
         # column (eliminated=False) is refused by splu under any ordering.
         import scipy.sparse as sp
 
-        from refugebif.continuation import _eliminate
+        from refugebif.continuation import _Bordered, _Corrector
         from refugebif.geometry import build_grid
+        from refugebif.newton import NewtonOptions
 
         rng = np.random.default_rng(0)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
@@ -331,7 +354,8 @@ class TestBorderedStep:
             perm = rng.permutation(6)
             jac = jac[perm][:, perm]
         f_mu, c_row, fg = rng.standard_normal(6), rng.standard_normal(6), rng.standard_normal(7)
-        step = _eliminate(sp.csr_matrix(jac), f_mu, c_row, 0.0, fg, build_grid(4))
+        corrector = _Corrector(build_grid(4), make_params(), NewtonOptions())
+        step = corrector._fresh_step(_Bordered(sp.csr_matrix(jac), f_mu, c_row, 0.0, fg))
         if not eliminated:
             assert step is None
             return
@@ -340,8 +364,6 @@ class TestBorderedStep:
 
     def test_inaccurate_lu_fails_the_guard(self, refuge_grid_16, monkeypatch):
         # an LU of a shifted J gives a step whose bordered residual the guard rejects
-        import scipy.sparse as sp
-
         from refugebif import continuation
         from refugebif.newton import NewtonOptions
 
@@ -349,15 +371,7 @@ class TestBorderedStep:
         p, state, y, fg, c_row = self.seeded_point(grid, Diffusion.NONLINEAR, 1e-3)
         exact = continuation._Corrector(grid, p, NewtonOptions()).step(y, fg, c_row, 0.0)
 
-        splu = continuation.splu
-        n_unknowns = y.size - 1
-
-        def shifted_splu(a, **kwargs):
-            if a.shape == (n_unknowns, n_unknowns):
-                a = (a + 0.1 * sp.identity(n_unknowns)).tocsc()
-            return splu(a, **kwargs)
-
-        monkeypatch.setattr(continuation, "splu", shifted_splu)
+        monkeypatch.setattr(continuation, "splu", shifted_splu(continuation.splu, y.size - 1, 0.1))
         corrector = continuation._Corrector(grid, p, NewtonOptions())
         step = corrector.step(y, fg, c_row, 0.0)
         assert corrector.fallbacks == 1
@@ -392,3 +406,92 @@ class TestBorderedStep:
             q.newton_iters for q in shipped.points
         ]
         np.testing.assert_allclose(fallen_back.avg_vs, shipped.avg_vs, rtol=1e-10, atol=0.0)
+
+
+class TestStaleLuStep:
+    """Corrector steps by GMRES preconditioned with the last LU of J."""
+
+    @staticmethod
+    def seed_systems(grid, variant):
+        # the two seed points, each with its J and the constraint of its step
+        from refugebif.model import jacobian
+
+        out = []
+        for s in (1e-3, 2e-3):
+            p, state, y, fg, c_row = TestBorderedStep.seeded_point(grid, variant, s)
+            out.append((p, y, fg, c_row, jacobian(p, state).matrix))
+        return out
+
+    @pytest.mark.parametrize("variant", BOTH)
+    def test_previous_seed_lu_gives_the_fresh_step(self, refuge_grid_16, variant):
+        from refugebif.continuation import _Corrector
+        from refugebif.newton import NewtonOptions
+
+        grid = refuge_grid_16
+        (p, y1, fg1, c1, _), (_, y2, fg2, c2, _) = self.seed_systems(grid, variant)
+        fresh = _Corrector(grid, p, NewtonOptions())
+        exact = fresh.step(y2, fg2, c2, 0.0)
+        assert (fresh.factorizations, fresh.krylov_steps) == (1, 0)
+
+        corrector = _Corrector(grid, p, NewtonOptions())
+        corrector.step(y1, fg1, c1, 0.0)
+        assert corrector.factorizations == 1
+        step = corrector.step(y2, fg2, c2, 0.0)
+        assert (corrector.factorizations, corrector.krylov_steps, corrector.fallbacks) == (1, 1, 0)
+        assert np.abs(step - exact).max() <= 1e-10 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("shift, rescued", [(0.1, True), (1.0, False)])
+    def test_shifted_stale_lu(self, refuge_grid_16, shift, rescued):
+        # GMRES brings the step of an LU of J + 0.1 I under the guard (in 3
+        # iterations); J + I has eigenvalues near -1, and its LU fails the
+        # guard within GMRES_ITERS, so J is factored afresh
+        from refugebif import continuation
+        from refugebif.geometry import factor
+        from refugebif.newton import NewtonOptions
+
+        grid = refuge_grid_16
+        _, (p, y, fg, c_row, jac) = self.seed_systems(grid, Diffusion.NONLINEAR)
+        exact = continuation._Corrector(grid, p, NewtonOptions()).step(y, fg, c_row, 0.0)
+
+        corrector = continuation._Corrector(grid, p, NewtonOptions())
+        corrector._lu = factor(shifted_splu(continuation.splu, y.size - 1, shift), jac, grid)
+        step = corrector.step(y, fg, c_row, 0.0)
+        assert corrector.fallbacks == 0
+        assert corrector.krylov_steps == int(rescued)
+        assert corrector.factorizations == int(not rescued)
+        assert np.abs(step - exact).max() <= 1e-10 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("variant", BOTH)
+    def test_trace_matches_fresh_lu_per_step(self, refuge_grid_16, monkeypatch, variant):
+        from refugebif import continuation
+
+        grid, p = refuge_grid_16, make_params(variant)
+        n_unknowns = grid.n_cells + grid.n_exterior
+        counts = {}
+        monkeypatch.setattr(continuation, "splu", counting_splu(continuation.splu, counts))
+        reused = trace_branch(grid, p, 0.08)
+        # at most one LU of J per accepted point
+        assert counts.get(n_unknowns, 0) <= len(reused.points)
+        assert counts.get(n_unknowns + 1, 0) == 0
+
+        monkeypatch.setattr(continuation._Corrector, "_stale_step", lambda self, system: None)
+        counts.clear()
+        fresh = trace_branch(grid, p, 0.08)
+        assert counts[n_unknowns] > len(fresh.points)
+        assert len(reused.points) == len(fresh.points)
+        assert [q.newton_iters for q in reused.points] == [q.newton_iters for q in fresh.points]
+        np.testing.assert_allclose(reused.avg_vs, fresh.avg_vs, rtol=1e-10, atol=0.0)
+
+    def test_default_linear_landing_takes_no_bordered_lu(self, monkeypatch):
+        # the landing's last iteration has |(f, g)| ~ 1e-9; its step's residual
+        # sits at the round-off floor, above 1e-10 |(f, g)|, and must be kept
+        from refugebif import continuation
+        from refugebif.geometry import build_grid
+
+        grid = build_grid(32, refuge_box=REFUGE_BOX)
+        n_unknowns = grid.n_cells + grid.n_exterior
+        counts = {}
+        monkeypatch.setattr(continuation, "splu", counting_splu(continuation.splu, counts))
+        branch = trace_branch(grid, make_params(Diffusion.LINEAR), 1e-3)
+        assert branch.points[-1].mu == 1e-3
+        assert counts.get(n_unknowns + 1, 0) == 0
