@@ -51,7 +51,6 @@ class OutputConfig:
 class RunConfig:
     grid: Grid
     params: ModelParams
-    newton: NewtonOptions
     continuation: ContinuationOptions
     mu_min: float
     time: TimeOptions
@@ -164,9 +163,10 @@ def parse_config(data: dict) -> RunConfig:
     opts = {}
     for where, defaults in blocks.items():
         opts.update(_read(data.get(where, {}), where, defaults))
+    newton = opts.pop("newton")
     if "newton" in data:
-        # an explicit newton block also tunes the continuation corrector
-        opts["continuation"] = replace(opts["continuation"], corrector=opts["newton"])
+        # an explicit newton block tunes the continuation corrector
+        opts["continuation"] = replace(opts["continuation"], corrector=newton)
     return RunConfig(grid=grid, **opts)
 
 

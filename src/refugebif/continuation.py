@@ -33,11 +33,6 @@ on the pattern of J^T + J with SuperLU's SymmetricMode (geometry.LU_OPTIONS):
 J is structurally symmetric, and this factor has about half the entries of
 a COLAMD one.  Pivoting is not given up: the pivot threshold stays at 1, so
 a diagonal pivot is taken only when it is also the largest in its column.
-J goes through geometry.factor, which computes that ordering once per
-sparsity pattern and grid (J keeps one pattern along the branches seen so
-far), then permutes each J by it and factors it in natural order.  That is
-the same elimination order with the same diagonal pivots, so the factor has
-the same fill as a direct splu.
 """
 
 from __future__ import annotations
@@ -52,7 +47,7 @@ from scipy.sparse.linalg import splu
 
 from .analytics import BifurcationData, bifurcation_data
 from .errors import ComparisonError, EstimationError, GeometryError, NumericalError, ParameterError
-from .geometry import LU_OPTIONS, ROUNDOFF_FACTOR, Grid, exterior_connected, factor
+from .geometry import LU_OPTIONS, ROUNDOFF_FACTOR, Grid, exterior_connected
 from .model import Diffusion, ModelParams, State, jacobian, residual
 from .newton import NewtonOptions, SolutionClass, _damped_newton, classify_state, newton_solve
 
@@ -141,7 +136,7 @@ class _Corrector:
         self.krylov_steps = 0
         self.factorizations = 0
         self.fallbacks = 0
-        self._lu = None  # the last PermutedLU of J that gave a kept step
+        self._lu = None  # the last LU of J that gave a kept step
 
     def solve(self, y0, c_row, c_mu, c_target):
         """Return (y, iterations, converged); the constraint is affine in y."""
@@ -197,7 +192,7 @@ class _Corrector:
     def _fresh_step(self, system):
         """The guarded step with a fresh LU of J, which is kept; or None."""
         try:
-            lu = factor(splu, system.jac, self.grid)
+            lu = splu(system.jac.tocsc(), **LU_OPTIONS)
         except RuntimeError:
             return None
         self.factorizations += 1

@@ -32,11 +32,8 @@ _ALIGN_RTOL = 1e-9
 # so minimum degree on the pattern of A^T + A with SymmetricMode gives about
 # half the fill of SciPy's default COLAMD.  The pivot threshold stays at 1:
 # a diagonal pivot is taken only when it is also the largest in its column.
-# A matrix whose pattern repeats goes through ``factor`` instead, which
-# computes this ordering once per pattern and grid and then factors the
-# symmetrically pre-permuted matrix with PREORDERED_LU_OPTIONS.
+# ``a`` is CSC: SciPy converts any other format with a SparseEfficiencyWarning.
 LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
-PREORDERED_LU_OPTIONS = {"permc_spec": "NATURAL", "options": {"SymmetricMode": True}}
 # Residual guards on solves by a stale LU accept at ROUNDOFF_FACTOR * eps *
 # |A| |x| in the max-norm, about the round-off floor a direct solve reaches.
 ROUNDOFF_FACTOR = 10.0
@@ -56,8 +53,7 @@ class Grid:
     Cells are indexed flat as ``k = j * n_x + i`` (x fastest).
     ``exterior_cells`` lists EXTERIOR flat indices in increasing order.
     Instances are immutable after construction; ``_cache`` only memoizes
-    operators that are pure functions of the grid, and the LU orderings of
-    ``factor``, keyed by sparsity pattern.
+    operators that are pure functions of the grid.
     """
 
     n_x: int
@@ -259,58 +255,6 @@ def exterior_laplacian_block(grid: Grid) -> sp.csr_matrix:
         block = neumann_laplacian(grid, Region.EXTERIOR).matrix[ext][:, ext]
         grid._cache["exterior_laplacian_block"] = block
     return block
-
-
-class PermutedLU:
-    """LU of ``P A P^T`` that solves with ``A``: ``solve`` permutes in and out."""
-
-    def __init__(self, lu, perm: np.ndarray, inverse: np.ndarray):
-        self.lu = lu
-        self._perm = perm
-        self._inverse = inverse
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self.lu.solve(rhs[self._inverse])[self._perm]
-
-
-def factor(splu, a: sp.spmatrix, grid: Grid) -> PermutedLU:
-    """Sparse LU of ``a`` in LU_OPTIONS' order, computed once per pattern and grid.
-
-    The first call on a sparsity pattern (shape, ``indptr``, ``indices`` of the
-    canonical CSC form) takes the column permutation from
-    ``splu(a, **LU_OPTIONS)`` and caches in ``grid._cache`` its inverse and a
-    map from ``a.data`` to the data of the symmetrically permuted matrix.
-    Every call, the first one included, factors that permuted matrix with
-    PREORDERED_LU_OPTIONS, so the numerics do not depend on the cache.  The
-    elimination order is the same and SymmetricMode prefers the same diagonal
-    pivots, so the factor has the same fill as ``splu(a, **LU_OPTIONS)``.
-    ``splu`` is the caller's own binding of SciPy's, so wrappers of it see
-    both factorizations.  A RuntimeError from either one propagates.
-    """
-    a = a.tocsc()
-    if not a.has_canonical_format:
-        # splu would sort the index arrays in place; keep the caller's intact
-        a = a.copy()
-        a.sum_duplicates()
-    key = ("lu_order", a.shape, a.indptr.tobytes(), a.indices.tobytes())
-    entry = grid._cache.get(key)
-    if entry is None:
-        n = a.shape[0]
-        # a copy, so that the cache does not keep this whole factor alive
-        perm = splu(a, **LU_OPTIONS).perm_c.astype(np.intp)
-        cols = perm[np.repeat(np.arange(n), np.diff(a.indptr))]
-        rows = perm[a.indices]
-        gather = np.lexsort((rows, cols))
-        indptr = np.zeros(n + 1, dtype=a.indptr.dtype)
-        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-        indices = rows[gather].astype(a.indices.dtype)
-        entry = (perm, np.argsort(perm), gather, indices, indptr)
-        for arr in entry:
-            arr.setflags(write=False)
-        grid._cache[key] = entry
-    perm, inverse, gather, indices, indptr = entry
-    permuted = sp.csc_matrix((a.data[gather], indices, indptr), shape=a.shape)
-    return PermutedLU(splu(permuted, **PREORDERED_LU_OPTIONS), perm, inverse)
 
 
 def integrate(f: ScalarField, region: Region = Region.ALL) -> float:

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .errors import GuessError, ParameterError, SingularResponseError
-from .geometry import Grid, Region, ScalarField, factor
+from .geometry import LU_OPTIONS, Grid, Region, ScalarField
 from .model import ModelParams, State, jacobian, residual
 from . import analytics
 
@@ -127,7 +127,7 @@ def newton_solve(
 
     def solve(x, f):
         jac = jacobian(params, State.unpack(grid, x)).matrix
-        return factor(splu, jac, grid).solve(-f)
+        return splu(jac.tocsc(), **LU_OPTIONS).solve(-f)
 
     x, _, history, diagnostic = _damped_newton(initial.pack(), fun, solve, opts)
     out = State.unpack(grid, x)

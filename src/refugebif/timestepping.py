@@ -31,7 +31,7 @@ from scipy.sparse.linalg import splu
 from .errors import ParameterError, StepError
 from .geometry import (
     LU_OPTIONS, ROUNDOFF_FACTOR, Grid, Region, _interior_faces, exterior_laplacian_block,
-    factor, neumann_laplacian, predation_field,
+    neumann_laplacian, predation_field,
 )
 from .model import Diffusion, ModelParams, State, _holling_denominator
 
@@ -120,7 +120,7 @@ class _Stepper:
             self.prey_lu = splu(prey_matrix.tocsc(), **LU_OPTIONS)
         else:
             self.prey_lu = None
-            self._lu = None  # the last factored prey matrix's PermutedLU
+            self._lu = None  # the LU of the last factored prey matrix
             # I/dt - div(ubar grad .) has the Laplacian's pattern: each face
             # (p, q) writes -c_f at (p, q) and (q, p) and adds c_f to both
             # diagonals.  The pattern is symmetric, so its CSC arrays are
@@ -156,7 +156,7 @@ class _Stepper:
             return solved[0]
         # drop the old factor first, so that two are never alive at once
         self._lu = None
-        self._lu = factor(splu, a, self.grid)
+        self._lu = splu(a, **LU_OPTIONS)
         return self._lu.solve(rhs) if solved is None else solved[0]
 
     def advance(self, u: np.ndarray, v_ext: np.ndarray):

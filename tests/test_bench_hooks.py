@@ -28,8 +28,8 @@ def test_tracer_install_rebinds_and_uninstall_restores():
 
 
 def test_tracer_sees_both_factorizations_of_a_cold_pattern():
-    # a fig1-style branch at n = 16: the ordering LU and the pre-ordered LUs
-    # both go through continuation's own splu, so the tracer records them
+    # a fig1-style branch at n = 16 factors J twice, both times through
+    # continuation's own splu, so the tracer records both LUs
     grid = build_grid(16, refuge_box=REFUGE_BOX)
     p = ModelParams(lam=0.5, mu=0.2, c=1.0, m=1.0, b=1.0, variant=Diffusion.NONLINEAR)
     mu_min = 0.5 * bifurcation_data(grid, p).mu_lambda
@@ -41,9 +41,7 @@ def test_tracer_sees_both_factorizations_of_a_cold_pattern():
     finally:
         tracer.uninstall()
     spans = [s for s in tracer.spans if s["name"] == "continuation.splu"]
-    assert len(spans) > 2 and all(s["nnz"] > 0 for s in spans)
-    # the first J is factored twice, once for its ordering, with the same fill
-    assert spans[0]["nnz"] == spans[1]["nnz"]
+    assert len(spans) == 2 and all(s["nnz"] > 0 for s in spans)
 
 
 def test_tracer_counts_the_prey_factorizations_of_a_nonlinear_run():

@@ -446,7 +446,7 @@ class TestStaleLuStep:
         # iterations); J + I has eigenvalues near -1, and its LU fails the
         # guard within GMRES_ITERS, so J is factored afresh
         from refugebif import continuation
-        from refugebif.geometry import factor
+        from refugebif.geometry import LU_OPTIONS
         from refugebif.newton import NewtonOptions
 
         grid = refuge_grid_16
@@ -454,7 +454,9 @@ class TestStaleLuStep:
         exact = continuation._Corrector(grid, p, NewtonOptions()).step(y, fg, c_row, 0.0)
 
         corrector = continuation._Corrector(grid, p, NewtonOptions())
-        corrector._lu = factor(shifted_splu(continuation.splu, y.size - 1, shift), jac, grid)
+        corrector._lu = shifted_splu(continuation.splu, y.size - 1, shift)(
+            jac.tocsc(), **LU_OPTIONS
+        )
         step = corrector.step(y, fg, c_row, 0.0)
         assert corrector.fallbacks == 0
         assert corrector.krylov_steps == int(rescued)

@@ -6,7 +6,7 @@ from scipy.sparse.linalg import splu
 
 from refugebif import timestepping
 from refugebif.errors import ParameterError
-from refugebif.geometry import Region, ScalarField, factor, integrate
+from refugebif.geometry import LU_OPTIONS, Region, ScalarField, integrate
 from refugebif.model import Diffusion, ModelParams, State, residual, semi_trivial_state
 from refugebif.timestepping import TimeOptions, _Stepper, _stale_lu_cg, evolve_to_steady, step
 
@@ -213,10 +213,10 @@ class TestStaleLuSolve:
         assert np.linalg.eigvalsh(stepper._prey_matrix(indefinite).toarray()).min() < 0.0
         for u in (far, indefinite):
             a = stepper._prey_matrix(u)
-            stepper._lu = factor(splu, stepper._prey_matrix(stale), grid)
+            stepper._lu = splu(stepper._prey_matrix(stale), **LU_OPTIONS)
             assert _stale_lu_cg(a, rhs, stepper._lu) is None
             fallback = stepper._solve_prey(u, rhs)
-            assert np.array_equal(fallback, factor(splu, a, grid).solve(rhs))
+            assert np.array_equal(fallback, splu(a, **LU_OPTIONS).solve(rhs))
 
     def test_near_matrix_is_accepted_at_the_roundoff_floor(self, refuge_grid_16):
         grid = refuge_grid_16
@@ -224,9 +224,9 @@ class TestStaleLuSolve:
         u = np.random.default_rng(5).uniform(0.2, 1.5, grid.n_cells)
         rhs = u / 0.05
         a = stepper._prey_matrix(u)
-        x, iters = _stale_lu_cg(a, rhs, factor(splu, stepper._prey_matrix(1.001 * u), grid))
+        x, iters = _stale_lu_cg(a, rhs, splu(stepper._prey_matrix(1.001 * u), **LU_OPTIONS))
         assert 0 < iters <= timestepping.REFRESH_ITERS
-        direct = factor(splu, a, grid).solve(rhs)
+        direct = splu(a, **LU_OPTIONS).solve(rhs)
         assert np.abs(x - direct).max() <= 1e-13 * np.abs(direct).max()
 
     @pytest.mark.parametrize("dt", [1e-3, 0.05])
