@@ -9,16 +9,17 @@ constraint mu = mu_min (a zero row with c_mu = 1), so it lands there exactly.
 Arclength is measured in the mesh-independent metric
 ||(dU, dmu)||^2 = cell_area * |dU|^2 + dmu^2.
 
-Each corrector iteration solves the bordered system
-A (dU, dmu) = -(f, g), A = [[J, f_mu], [c, c_mu]], by block elimination
-(Keller's bordering lemma): an LU of the Jacobian J gives J a = -f and
-J b = f_mu, then dmu = (-g - c.a) / (c_mu - c.b) and dU = a - dmu * b.
+Each corrector iteration solves the bordered system A (dU, dmu) = -(f, g),
+A = [[J, f_mu], [c, c_mu]], by block elimination (Keller's bordering
+lemma): an LU of the Jacobian J gives J a = -f and J b = f_mu in one
+two-column solve, then dmu = (-g - c.a) / (c_mu - c.b), dU = a - dmu * b.
 The corrector keeps the last LU of J it made on the branch and uses that
 elimination as a right preconditioner for GMRES on A, started from the
 eliminated step (Uecker, Wetzel & Rademacher 2014 reuse factors the same
 way).  J changes little from one iterate or point to the next, so a few
-iterations with the stale LU replace a fresh one, which costs about 30
-solves.  Every step is guarded, since J is singular at the onset and the
+iterations with the stale LU replace a fresh LU, worth about 30 solves; GMRES
+forms an iterate only when its Givens estimate of the residual could pass
+the guard.  Every step is guarded, since J is singular at the onset and the
 seeds sit just below it: a step is kept only if it is finite and its true
 bordered residual is within the larger of 1e-10 |(f, g)| and the round-off
 floor ROUNDOFF_FACTOR eps |J| |d| in the max-norm.  A step that GMRES
@@ -42,12 +43,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import norm as sparse_norm
+from scipy.linalg.lapack import dtrtrs
 from scipy.sparse.linalg import splu
 
 from .analytics import BifurcationData, bifurcation_data
 from .errors import ComparisonError, EstimationError, GeometryError, NumericalError, ParameterError
-from .geometry import LU_OPTIONS, ROUNDOFF_FACTOR, Grid, exterior_connected
+from .geometry import LU_OPTIONS, ROUNDOFF_FACTOR, Grid, exterior_connected, row_sum_norm
 from .model import Diffusion, ModelParams, State, jacobian, residual
 from .newton import NewtonOptions, SolutionClass, _damped_newton, classify_state, newton_solve
 
@@ -225,30 +226,33 @@ class _Bordered:
 
     def __init__(self, jac, f_mu, c_row, c_mu, fg):
         self.jac, self.f_mu, self.c_row, self.c_mu, self.fg = jac, f_mu, c_row, c_mu, fg
-        self._floor = ROUNDOFF_FACTOR * np.finfo(float).eps * sparse_norm(jac, np.inf)
+        self._floor = ROUNDOFF_FACTOR * np.finfo(float).eps * row_sum_norm(jac)
         self._rtol = STEP_RTOL * np.abs(fg).max()
 
     def matvec(self, d):
         d_u, d_mu = d[:-1], d[-1]
         return np.append(self.jac @ d_u + self.f_mu * d_mu, self.c_row @ d_u + self.c_mu * d_mu)
 
+    def tolerance(self, d_max):
+        """The step guard's bound on |A d + fg|_inf for a step with |d|_inf = d_max."""
+        return max(self._rtol, self._floor * d_max)
+
     def accepts(self, d, r):
         """The step guard on d, whose bordered residual A d + fg is r."""
-        tol = max(self._rtol, self._floor * np.abs(d).max())
-        return np.abs(r).max() <= tol and np.all(np.isfinite(d))
+        return np.abs(r).max() <= self.tolerance(np.abs(d).max()) and np.all(np.isfinite(d))
 
     def eliminator(self, lu):
-        """r -> A^-1 r by block elimination with ``lu``, an LU of J or of a
-        nearby matrix, in which case it is only approximate."""
-        b = lu.solve(self.f_mu)
+        """(d0, r -> A^-1 r) by block elimination with ``lu``, an LU of J or of
+        a nearby matrix (then both are approximate); the step d0 = A^-1 (-fg)
+        and J^-1 f_mu come from one two-column solve."""
+        a, b = lu.solve(np.column_stack([-self.fg[:-1], self.f_mu])).T
         den = self.c_mu - self.c_row @ b
 
-        def apply_inverse(r):
-            a = lu.solve(r[:-1])
-            d_mu = (r[-1] - self.c_row @ a) / den
+        def combine(a, r_mu):
+            d_mu = (r_mu - self.c_row @ a) / den
             return np.append(a - d_mu * b, d_mu)
 
-        return apply_inverse
+        return combine(a, -self.fg[-1]), lambda r: combine(lu.solve(r[:-1]), r[-1])
 
 
 def _guarded_gmres(system: _Bordered, lu, max_iters: int):
@@ -257,36 +261,46 @@ def _guarded_gmres(system: _Bordered, lu, max_iters: int):
     Starts from the eliminated step and returns the first iterate that
     passes the step guard on its true residual, within ``max_iters``
     iterations; None if none does.  With a fresh LU of J the start is
-    Keller's block elimination, and one iteration refines it.
+    Keller's block elimination, and one iteration refines it.  Givens
+    rotations give |g_k+1| = |r_k|_2 (Saad & Schultz 1986), and iterate k is
+    formed only when |g_k+1| is within 2 sqrt(size) (|r|_2 <= sqrt(size) |r|_inf,
+    2 for round-off) times the guard at |d0|_inf + sum |y_i| |z_i|_inf >= |d_k|_inf.
     """
-    apply_inverse = system.eliminator(lu)
+    d0, apply_inverse = system.eliminator(lu)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d0 = apply_inverse(-system.fg)
         r = system.matvec(d0) + system.fg
         if system.accepts(d0, r):
             return d0
         beta = np.linalg.norm(r)
         if not np.isfinite(beta):
             return None
-        # Arnoldi on A M^-1: orthonormal basis, preconditioned directions
-        basis, directions = [-r / beta], []
-        hess = np.zeros((max_iters + 1, max_iters))
+        # Arnoldi on A M^-1; rotations keep the Hessenberg matrix triangular
+        basis, z = np.empty((max_iters + 1, d0.size)), np.empty((max_iters, d0.size))
+        hess, g = np.zeros((max_iters + 1, max_iters)), np.zeros(max_iters + 1)
+        cos, sin, z_max = np.zeros((3, max_iters))
+        basis[0], g[0] = -r / beta, beta
+        slack, d0_max = 2.0 * np.sqrt(d0.size), np.abs(d0).max()
         for k in range(max_iters):
-            directions.append(apply_inverse(basis[k]))
-            w = system.matvec(directions[k])
-            for i, v in enumerate(basis):
-                hess[i, k] = v @ w
-                w = w - hess[i, k] * v
-            hess[k + 1, k] = np.linalg.norm(w)
-            if not np.isfinite(hess[k + 1, k]):
+            z[k] = apply_inverse(basis[k])
+            z_max[k] = np.abs(z[k]).max()
+            w, h = system.matvec(z[k]), hess[:, k]
+            for i in range(k + 1):
+                h[i] = basis[i] @ w
+                w -= h[i] * basis[i]
+            h[k + 1] = np.linalg.norm(w)
+            if not np.isfinite(h[k + 1]):
                 return None
-            basis.append(w / hess[k + 1, k])
-            rhs = np.zeros(k + 2)
-            rhs[0] = beta
-            coeffs = np.linalg.lstsq(hess[: k + 2, : k + 1], rhs)[0]
-            d = d0 + np.column_stack(directions) @ coeffs
-            if system.accepts(d, system.matvec(d) + system.fg):
-                return d
+            basis[k + 1] = w / h[k + 1]
+            for i in range(k):  # the earlier rotations, then a new one
+                h[i : i + 2] = cos[i] * h[i] + sin[i] * h[i + 1], cos[i] * h[i + 1] - sin[i] * h[i]
+            rho = np.hypot(h[k], h[k + 1])
+            cos[k], sin[k], h[k], h[k + 1] = h[k] / rho, h[k + 1] / rho, rho, 0.0
+            g[k], g[k + 1] = cos[k] * g[k], -sin[k] * g[k]
+            y = dtrtrs(hess[: k + 1, : k + 1], g[: k + 1])[0]  # R y = g
+            if abs(g[k + 1]) <= slack * system.tolerance(d0_max + np.abs(y) @ z_max[: k + 1]):
+                d = d0 + y @ z[: k + 1]
+                if system.accepts(d, system.matvec(d) + system.fg):
+                    return d
     return None
 
 

@@ -53,7 +53,7 @@ class Grid:
     Cells are indexed flat as ``k = j * n_x + i`` (x fastest).
     ``exterior_cells`` lists EXTERIOR flat indices in increasing order.
     Instances are immutable after construction; ``_cache`` only memoizes
-    operators that are pure functions of the grid.
+    operators that are pure functions of the grid, and the pattern of J.
     """
 
     n_x: int
@@ -121,6 +121,20 @@ class SparseOperator:
     """Square sparse linear map over stacked field unknowns."""
 
     matrix: sp.csr_matrix
+
+
+def csr_positions(mat: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Indices into ``mat.data`` of the stored entries (rows[k], cols[k]);
+    ``mat`` must be canonical (sorted indices, no duplicates)."""
+    n = mat.shape[1]
+    stored = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)) * n + mat.indices
+    return np.searchsorted(stored, rows * n + cols)
+
+
+def row_sum_norm(mat: sp.csr_matrix) -> float:
+    """max_i sum_j |a_ij| of a CSR matrix (the column sums of a CSC one); an
+    empty row sums an entry of the next one, which leaves the max as it is."""
+    return float(np.add.reduceat(np.append(np.abs(mat.data), 0.0), mat.indptr[:-1]).max())
 
 
 def _face_index(coord: float, h: float, n: int, label: str) -> int:

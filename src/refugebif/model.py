@@ -22,6 +22,7 @@ from .geometry import (
     Region,
     ScalarField,
     SparseOperator,
+    csr_positions,
     exterior_laplacian_block,
     neumann_laplacian,
     predation_field,
@@ -153,31 +154,35 @@ def residual(params: ModelParams, state: State) -> np.ndarray:
 
 
 def jacobian(params: ModelParams, state: State) -> SparseOperator:
-    """Derivative of :func:`residual` with respect to the packed unknowns."""
+    """Derivative of :func:`residual` in the packed unknowns.  Its values are
+    written into one CSR pattern per grid, for both variants, cached with the
+    data positions of each term; zeros stay stored (SciPy's sums drop them)."""
     grid = state.grid
-    u = state.u.values
-    v = state.v.values
+    ext, n = grid.exterior_cells, grid.n_cells
+    lap = neumann_laplacian(grid, Region.ALL).matrix
+    cached = grid._cache.get("jacobian_pattern")
+    if cached is None:
+        block = exterior_laplacian_block(grid).tocoo()
+        cells, k, coo = np.arange(n), n + np.arange(ext.size), lap.tocoo()
+        terms = dict(lap=(coo.row, coo.col), u_diag=(cells, cells), uv=(ext, k), vu=(k, ext),
+                     block=(n + block.row, n + block.col), v_diag=(k, k))
+        rows, cols = (np.concatenate(ix) for ix in zip(*terms.values()))
+        template = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(k.size + n,) * 2)
+        for shared in (template.indices, template.indptr):  # by every J: keep them intact
+            shared.setflags(write=False)
+        cached = template, {name: csr_positions(template, *ix) for name, ix in terms.items()}
+        grid._cache["jacobian_pattern"] = cached
+    template, at = cached
+
+    u, v = state.u.values, state.v.values
     den = _holling_denominator(params, u)
     den2 = den * den
     bf = predation_field(grid, params.b).values
-    ext = grid.exterior_cells
-    n = grid.n_cells
-
-    lap = neumann_laplacian(grid, Region.ALL).matrix
-    if params.variant is Diffusion.NONLINEAR:
-        a_uu = lap @ sp.diags(u)
-    else:
-        a_uu = lap
-    a_uu = a_uu + sp.diags(params.lam - 2.0 * u - bf * v / den2)
-
-    a_uv = sp.csr_matrix(
-        (-bf[ext] * u[ext] / den[ext], (ext, np.arange(ext.size))),
-        shape=(n, ext.size),
-    )
-    a_vu = sp.csr_matrix(
-        (params.c * v[ext] / den2[ext], (np.arange(ext.size), ext)),
-        shape=(ext.size, n),
-    )
-    a_vv = exterior_laplacian_block(grid) + sp.diags(-params.mu + params.c * u[ext] / den[ext])
-
-    return SparseOperator(sp.bmat([[a_uu, a_uv], [a_vu, a_vv]], format="csr"))
+    data = np.zeros(template.nnz)
+    data[at["lap"]] = lap.data * (u[lap.indices] if params.variant is Diffusion.NONLINEAR else 1.0)
+    data[at["u_diag"]] += params.lam - 2.0 * u - bf * v / den2
+    data[at["uv"]] = -bf[ext] * u[ext] / den[ext]
+    data[at["vu"]] = params.c * v[ext] / den2[ext]
+    data[at["block"]] = exterior_laplacian_block(grid).data
+    data[at["v_diag"]] += -params.mu + params.c * u[ext] / den[ext]
+    return SparseOperator(sp.csr_matrix((data, template.indices, template.indptr), template.shape))

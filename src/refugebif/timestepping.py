@@ -30,8 +30,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import ParameterError, StepError
 from .geometry import (
-    LU_OPTIONS, ROUNDOFF_FACTOR, Grid, Region, _interior_faces, exterior_laplacian_block,
-    neumann_laplacian, predation_field,
+    LU_OPTIONS, ROUNDOFF_FACTOR, Grid, Region, _interior_faces, csr_positions,
+    exterior_laplacian_block, neumann_laplacian, predation_field, row_sum_norm,
 )
 from .model import Diffusion, ModelParams, State, _holling_denominator
 
@@ -58,14 +58,6 @@ class TimeOptions:
             raise ParameterError("dt, t_max and steady_tol must be finite")
 
 
-def _csr_positions(mat: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Indices into ``mat.data`` of the stored entries (rows[k], cols[k]);
-    ``mat`` must be canonical (sorted indices, no duplicates)."""
-    n = mat.shape[1]
-    stored = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)) * n + mat.indices
-    return np.searchsorted(stored, rows * n + cols)
-
-
 def _stale_lu_cg(a: sp.csc_matrix, b: np.ndarray, lu):
     """Solve the symmetric system ``a x = b`` by CG preconditioned with ``lu``,
     the LU of a nearby matrix, from x = lu^-1 b.
@@ -76,7 +68,7 @@ def _stale_lu_cg(a: sp.csc_matrix, b: np.ndarray, lu):
     positive and finite.
     """
     # a is symmetric, so its column sums are its row sums
-    a_norm = np.add.reduceat(np.abs(a.data), a.indptr[:-1]).max()
+    a_norm = row_sum_norm(a)
     b_norm = np.abs(b).max()
     scale = ROUNDOFF_FACTOR * np.finfo(float).eps
     x = lu.solve(b)
@@ -130,9 +122,9 @@ class _Stepper:
             self._w = np.concatenate([np.full(px.size, wx), np.full(py.size, wy)])
             self._pattern = (lap_all.indices, lap_all.indptr)
             cells = np.arange(grid.n_cells)
-            self._pq = _csr_positions(lap_all, self._p, self._q)
-            self._qp = _csr_positions(lap_all, self._q, self._p)
-            self._diag = _csr_positions(lap_all, cells, cells)
+            self._pq = csr_positions(lap_all, self._p, self._q)
+            self._qp = csr_positions(lap_all, self._q, self._p)
+            self._diag = csr_positions(lap_all, cells, cells)
 
     def _prey_matrix(self, u: np.ndarray) -> sp.csc_matrix:
         """I/dt - div(ubar grad .) with arithmetic face means of the frozen u."""

@@ -42,6 +42,35 @@ def counting_splu(splu, counts):
     return wrapped
 
 
+def lstsq_gmres(system, lu, max_iters):
+    """Reference for ``_guarded_gmres``: the same GMRES, but each iteration
+    solves its least-squares problem by ``lstsq`` and checks its iterate's
+    true residual."""
+    d0, apply_inverse = system.eliminator(lu)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = system.matvec(d0) + system.fg
+        if system.accepts(d0, r):
+            return d0
+        beta = np.linalg.norm(r)
+        basis, directions = [-r / beta], []
+        hess = np.zeros((max_iters + 1, max_iters))
+        for k in range(max_iters):
+            directions.append(apply_inverse(basis[k]))
+            w = system.matvec(directions[k])
+            for i, v in enumerate(basis):
+                hess[i, k] = v @ w
+                w = w - hess[i, k] * v
+            hess[k + 1, k] = np.linalg.norm(w)
+            basis.append(w / hess[k + 1, k])
+            rhs = np.zeros(k + 2)
+            rhs[0] = beta
+            coeffs = np.linalg.lstsq(hess[: k + 2, : k + 1], rhs)[0]
+            d = d0 + np.column_stack(directions) @ coeffs
+            if system.accepts(d, system.matvec(d) + system.fg):
+                return d
+    return None
+
+
 def make_params(variant=Diffusion.NONLINEAR, **kw):
     defaults = dict(lam=1.0, mu=0.4, c=1.0, m=1.0, b=1.0)
     defaults.update(kw)
@@ -462,6 +491,61 @@ class TestStaleLuStep:
         assert corrector.krylov_steps == int(rescued)
         assert corrector.factorizations == int(not rescued)
         assert np.abs(step - exact).max() <= 1e-10 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("variant", BOTH)
+    def test_givens_gmres_matches_lstsq_reference(self, refuge_grid_16, monkeypatch, variant):
+        import scipy.sparse as sp
+
+        from refugebif import continuation
+        from refugebif.continuation import GMRES_ITERS, REFINE_ITERS, _Bordered, _guarded_gmres
+        from refugebif.geometry import LU_OPTIONS
+
+        grid = refuge_grid_16
+        (_, _, _, _, jac1), (_, y, fg, c_row, jac) = self.seed_systems(grid, variant)
+        f_mu = np.zeros(y.size - 1)
+        f_mu[grid.n_cells:] = -y[grid.n_cells:-1]
+        system = _Bordered(jac, f_mu, c_row, 0.0, fg)
+        eye = sp.identity(jac.shape[0])
+        # the previous seed's LU, a fresh one, LUs of J + 0.1 I and J + 0.3 I
+        # (rescued in 3 and 4 iterations) and of J + I (refused)
+        lus = [
+            continuation.splu(a.tocsc(), **LU_OPTIONS)
+            for a in (jac1, jac, jac + 0.1 * eye, jac + 0.3 * eye)
+        ]
+        refused = continuation.splu((jac + eye).tocsc(), **LU_OPTIONS)
+        cases = [(lu, m) for lu in lus for m in (GMRES_ITERS, REFINE_ITERS)]
+        for lu, max_iters in cases + [(refused, GMRES_ITERS)]:
+            ref, step = lstsq_gmres(system, lu, max_iters), _guarded_gmres(system, lu, max_iters)
+            assert (step is None) == (ref is None)
+            if ref is not None:
+                assert np.abs(step - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert _guarded_gmres(system, refused, GMRES_ITERS) is None
+        assert _guarded_gmres(system, lus[0], GMRES_ITERS) is not None
+
+        # the stale step of the previous seed's LU runs more iterations than
+        # it forms iterates to check: the Givens estimate rules the others out
+        counts = {"iterations": 0, "checks": 0}
+        accepts, eliminator = _Bordered.accepts, _Bordered.eliminator
+
+        def counting_accepts(self, d, r):
+            counts["checks"] += 1
+            return accepts(self, d, r)
+
+        def counting_eliminator(self, lu):
+            d0, apply_inverse = eliminator(self, lu)
+
+            def counted(r):
+                counts["iterations"] += 1
+                return apply_inverse(r)
+
+            return d0, counted
+
+        monkeypatch.setattr(_Bordered, "accepts", counting_accepts)
+        monkeypatch.setattr(_Bordered, "eliminator", counting_eliminator)
+        assert _guarded_gmres(system, lus[0], GMRES_ITERS) is not None
+        # one check is the start's
+        assert counts["iterations"] >= 2
+        assert counts["checks"] - 1 < counts["iterations"]
 
     @pytest.mark.parametrize("variant", BOTH)
     def test_trace_matches_fresh_lu_per_step(self, refuge_grid_16, monkeypatch, variant):

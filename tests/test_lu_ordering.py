@@ -1,6 +1,6 @@
 """Every sparse LU in the package is one ``splu(a, **LU_OPTIONS)`` on a CSC
 matrix, made by the calling module's own ``splu``, and no LU state is left in
-the grid."""
+the grid: it caches operators and the one pattern of J only."""
 
 from collections import Counter
 from dataclasses import replace
@@ -107,15 +107,16 @@ def test_grid_caches_operators_only():
     last = continuation.trace_branch(grid, p, 0.45).points[-1].state
     continuation.trace_branch(grid, make_params(Diffusion.LINEAR), 0.45)
     evolve_to_steady(p, last, TimeOptions(dt=1e-3, t_max=3e-3))
-    # one u cell exactly 0: SciPy's sparse sums drop the entries of J that
-    # vanish with it, so J has a pattern of its own
+    # one u cell exactly 0: J keeps the grid's one pattern, with the entries
+    # of L diag(u) in that cell's column stored as explicit zeros
     u = last.u.values.copy()
     u[0] = 0.0
     zeroed = State(replace(last.u, values=u), last.v)
-    assert jacobian(p, zeroed).matrix.nnz < jacobian(p, last).matrix.nnz
+    assert jacobian(p, zeroed).matrix.nnz == jacobian(p, last).matrix.nnz
     newton.newton_solve(replace(p, mu=0.44), zeroed)
     assert set(grid._cache) == {
         ("laplacian", Region.ALL),
         ("laplacian", Region.EXTERIOR),
         "exterior_laplacian_block",
+        "jacobian_pattern",
     }

@@ -165,7 +165,58 @@ class TestResidual:
         assert abs(lhs - rhs) < 1e-11
 
 
+def bmat_jacobian(params, state):
+    """Reference: J assembled block by block with sp.bmat, as ``jacobian``
+    once was; SciPy's sparse sums drop the entries that come out zero."""
+    import scipy.sparse as sp
+
+    from refugebif.geometry import exterior_laplacian_block
+
+    g, u, v = state.grid, state.u.values, state.v.values
+    den = 1.0 + params.m * u
+    den2 = den * den
+    bf = np.where(g.refuge_mask, 0.0, params.b)
+    ext, n = g.exterior_cells, g.n_cells
+    lap = neumann_laplacian(g, Region.ALL).matrix
+    a_uu = lap @ sp.diags(u) if params.variant is Diffusion.NONLINEAR else lap
+    a_uu = a_uu + sp.diags(params.lam - 2.0 * u - bf * v / den2)
+    a_uv = sp.csr_matrix(
+        (-bf[ext] * u[ext] / den[ext], (ext, np.arange(ext.size))), shape=(n, ext.size)
+    )
+    a_vu = sp.csr_matrix(
+        (params.c * v[ext] / den2[ext], (np.arange(ext.size), ext)), shape=(ext.size, n)
+    )
+    a_vv = exterior_laplacian_block(g) + sp.diags(-params.mu + params.c * u[ext] / den[ext])
+    return sp.bmat([[a_uu, a_uv], [a_vu, a_vv]], format="csr")
+
+
 class TestJacobian:
+    @pytest.mark.parametrize("variant", BOTH)
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_cached_pattern_matches_bmat_assembly(self, variant, n):
+        from scipy.sparse.linalg import norm as sparse_norm
+
+        from refugebif.geometry import row_sum_norm
+
+        g = build_grid(n, refuge_box=(0.25, 0.25, 0.5, 0.5))
+        st = random_state(g, np.random.default_rng(n))
+        p = make_params(variant, lam=1.2, c=0.9, m=0.7, b=1.4)
+        jac, ref = jacobian(p, st).matrix, bmat_jacobian(p, st)
+        assert ref.nnz == jac.nnz  # a positive state: bmat drops nothing
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(jac, name), getattr(ref, name))
+        norm = sparse_norm(ref, np.inf)
+        assert abs(row_sum_norm(jac) - norm) <= 1e-15 * norm
+
+        # one u cell exactly 0: bmat drops the entries of L diag(u) in its
+        # column, the cached pattern keeps them as explicit zeros
+        u = st.u.values.copy()
+        u[g.exterior_cells[0]] = 0.0
+        zeroed = State(ScalarField(g, u, Region.ALL), st.v)
+        jac0, ref0 = jacobian(p, zeroed).matrix, bmat_jacobian(p, zeroed)
+        assert jac0.nnz == jac.nnz
+        np.testing.assert_array_equal(jac0.toarray(), ref0.toarray())
+
     @pytest.mark.parametrize("variant", BOTH)
     @pytest.mark.parametrize("n,seed", [(8, 0), (8, 1), (16, 2)])
     def test_matches_finite_differences(self, variant, n, seed):
