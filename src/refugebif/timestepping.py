@@ -9,9 +9,11 @@ The linear variant's prey matrix and the predator matrix are constant, so
 each is factored once.  The nonlinear prey matrix A = I/dt - div(ubar grad .)
 changes every step but slowly, since u moves by O(dt).  A stepper's first
 step factors it.  Later steps solve A x = b by conjugate gradients
-preconditioned with the last LU, started from x = LU^-1 b, and accept x only
-when the true residual is at the round-off floor a direct solve reaches,
-|b - A x|_inf <= 10 eps (|A|_inf |x|_inf + |b|_inf).  A solve that needed
+preconditioned with the last LU, started from the extrapolation
+3u - 3u_1 + u_2 of the prey states of the last steps (2u - u_1 with one
+kept), and accept x only when the true residual is at the round-off floor a
+direct solve reaches, |b - A x|_inf <= 10 eps (|A|_inf |x|_inf + |b|_inf).
+Each iteration is one triangular solve with the LU.  A solve that needed
 more than REFRESH_ITERS iterations is accepted and A is factored for the
 next steps.  With no acceptance within MAX_CG_ITERS, or a curvature p.Ap
 that is not positive and finite (unclamped, A can be indefinite), the step
@@ -58,20 +60,21 @@ class TimeOptions:
             raise ParameterError("dt, t_max and steady_tol must be finite")
 
 
-def _stale_lu_cg(a: sp.csc_matrix, b: np.ndarray, lu):
+def _stale_lu_cg(a: sp.csc_matrix, b: np.ndarray, lu, x0: np.ndarray):
     """Solve the symmetric system ``a x = b`` by CG preconditioned with ``lu``,
-    the LU of a nearby matrix, from x = lu^-1 b.
+    the LU of a nearby matrix, from the start ``x0``.
 
-    Returns ``(x, iterations)`` for the first iterate whose true residual is
-    within ROUNDOFF_FACTOR * eps * (|a| |x| + |b|) in the max-norm, or None
-    if none is within MAX_CG_ITERS or a curvature p.Ap (or r.z) is not
-    positive and finite.
+    Returns ``(x, k)`` for the first iterate whose true residual is within
+    ROUNDOFF_FACTOR * eps * (|a| |x| + |b|) in the max-norm, or None if none
+    is within MAX_CG_ITERS or a curvature p.Ap (or r.z) is not positive and
+    finite.  ``k`` counts both the iterations and the ``lu.solve`` calls (0
+    when ``x0`` already passes); ``x`` is never ``x0`` itself.
     """
     # a is symmetric, so its column sums are its row sums
     a_norm = row_sum_norm(a)
     b_norm = np.abs(b).max()
     scale = ROUNDOFF_FACTOR * np.finfo(float).eps
-    x = lu.solve(b)
+    x = x0.copy()
     for k in range(MAX_CG_ITERS + 1):
         r = b - a @ x
         if np.abs(r).max() <= scale * (a_norm * np.abs(x).max() + b_norm):
@@ -113,6 +116,7 @@ class _Stepper:
         else:
             self.prey_lu = None
             self._lu = None  # the LU of the last factored prey matrix
+            self._kept = ()  # the prey states u of the last two steps, newest first
             # I/dt - div(ubar grad .) has the Laplacian's pattern: each face
             # (p, q) writes -c_f at (p, q) and (q, p) and adds c_f to both
             # diagonals.  The pattern is symmetric, so its CSC arrays are
@@ -143,7 +147,12 @@ class _Stepper:
     def _solve_prey(self, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve the nonlinear prey system, by stale-LU CG when it is accepted."""
         a = self._prey_matrix(u)
-        solved = None if self._lu is None else _stale_lu_cg(a, rhs, self._lu)
+        kept, self._kept = self._kept, (u, *self._kept[:1])
+        solved = None
+        if self._lu is not None:
+            x0 = (3.0 * (u - kept[0]) + kept[1] if len(kept) == 2
+                  else 2.0 * u - kept[0] if kept else u)
+            solved = _stale_lu_cg(a, rhs, self._lu, x0)
         if solved is not None and solved[1] <= REFRESH_ITERS:
             return solved[0]
         # drop the old factor first, so that two are never alive at once

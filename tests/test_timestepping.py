@@ -214,7 +214,7 @@ class TestStaleLuSolve:
         for u in (far, indefinite):
             a = stepper._prey_matrix(u)
             stepper._lu = splu(stepper._prey_matrix(stale), **LU_OPTIONS)
-            assert _stale_lu_cg(a, rhs, stepper._lu) is None
+            assert _stale_lu_cg(a, rhs, stepper._lu, stepper._lu.solve(rhs)) is None
             fallback = stepper._solve_prey(u, rhs)
             assert np.array_equal(fallback, splu(a, **LU_OPTIONS).solve(rhs))
 
@@ -224,13 +224,37 @@ class TestStaleLuSolve:
         u = np.random.default_rng(5).uniform(0.2, 1.5, grid.n_cells)
         rhs = u / 0.05
         a = stepper._prey_matrix(u)
-        x, iters = _stale_lu_cg(a, rhs, splu(stepper._prey_matrix(1.001 * u), **LU_OPTIONS))
+        lu = splu(stepper._prey_matrix(1.001 * u), **LU_OPTIONS)
+        x, iters = _stale_lu_cg(a, rhs, lu, lu.solve(rhs))
         assert 0 < iters <= timestepping.REFRESH_ITERS
         direct = splu(a, **LU_OPTIONS).solve(rhs)
         assert np.abs(x - direct).max() <= 1e-13 * np.abs(direct).max()
 
-    @pytest.mark.parametrize("dt", [1e-3, 0.05])
-    def test_few_factorizations_per_step(self, refuge_grid_16, monkeypatch, dt):
+    def test_start_at_the_solution_takes_no_solve(self, refuge_grid_16):
+        grid = refuge_grid_16
+        a = _Stepper(make_params(), grid, 0.05)._prey_matrix(np.full(grid.n_cells, 0.8))
+        lu = splu(a, **LU_OPTIONS)
+        rhs = np.random.default_rng(6).standard_normal(grid.n_cells)
+        x0 = lu.solve(rhs)
+        start = x0.copy()
+
+        class CountingLu:
+            calls = 0
+
+            def solve(self, r):
+                self.calls += 1
+                return lu.solve(r)
+
+        counting = CountingLu()
+        x, iters = _stale_lu_cg(a, rhs, counting, x0)
+        assert iters == 0 and counting.calls == 0
+        assert x is not x0 and np.array_equal(x, start)
+        x[:] = -1.0
+        assert np.array_equal(x0, start)
+
+    @staticmethod
+    def count_lus(monkeypatch, params, state, dt):
+        """Factorizations made by 200 steps of evolve_to_steady."""
         lus = []
 
         def counting(a, **kwargs):
@@ -240,13 +264,22 @@ class TestStaleLuSolve:
         monkeypatch.setattr(timestepping, "splu", counting)
         steps = []
         evolve_to_steady(
-            make_params(),
-            positive_state(refuge_grid_16),
+            params, state,
             TimeOptions(dt=dt, t_max=200 * dt, steady_tol=1e-14),
             lambda k, t, s, c: steps.append(k),
         )
         assert len(steps) == 200
-        assert len(lus) < len(steps) / 10
+        return len(lus)
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.05])
+    def test_few_factorizations_per_step(self, refuge_grid_16, monkeypatch, dt):
+        assert self.count_lus(monkeypatch, make_params(), positive_state(refuge_grid_16), dt) < 20
+
+    def test_fast_transient_keeps_its_lu(self, refuge_grid_16, monkeypatch):
+        # u moves fast at dt = 0.05 from (0.3, 0.4), so CG stays within
+        # REFRESH_ITERS only from a start that follows u's trend
+        state = positive_state(refuge_grid_16, u0=0.3, v0=0.4)
+        assert self.count_lus(monkeypatch, make_params(mu=0.3), state, 0.05) < 45
 
 
 class TestPreyMatrix:
