@@ -38,7 +38,6 @@ a diagonal pivot is taken only when it is also the largest in its column.
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,9 +47,13 @@ from scipy.sparse.linalg import splu
 
 from .analytics import BifurcationData, bifurcation_data
 from .errors import ComparisonError, EstimationError, GeometryError, NumericalError, ParameterError
-from .geometry import LU_OPTIONS, ROUNDOFF_FACTOR, Grid, exterior_connected, row_sum_norm
+from .geometry import (
+    LU_OPTIONS, ROUNDOFF_FACTOR, Grid, exterior_connected, release_free_memory, row_sum_norm,
+)
 from .model import Diffusion, ModelParams, State, jacobian, residual
-from .newton import NewtonOptions, SolutionClass, _damped_newton, classify_state, newton_solve
+from .newton import (
+    ZERO_THRESHOLD, NewtonOptions, SolutionClass, _damped_newton, classify_state, newton_solve,
+)
 
 # avg_v of the first seed point, relative to lam; the second sits at twice that
 SEED_AVG_V = 1e-3
@@ -184,7 +187,7 @@ class _Corrector:
         """Drop the kept LU of J, and return its freed pages to the system."""
         if self._lu is not None:
             self._lu = None
-            _release_free_memory()
+            release_free_memory()
 
     def _stale_step(self, system):
         """The guarded step preconditioned with the last LU of J, or None."""
@@ -201,24 +204,6 @@ class _Corrector:
         if delta is not None:
             self._lu = lu
         return delta
-
-
-def _release_free_memory():
-    """Return free heap pages to the system, where the C library has malloc_trim.
-
-    SuperLU sizes its factor arrays generously and writes only part of them.
-    A kept LU sits below the branch points made after it, so once freed it
-    leaves a hole in the heap that the C library does not give back, and
-    later factors and arrays at other offsets in it make more of its pages
-    resident: at n = 64 this raised the peak RSS of two Fig. 1 traces by
-    about 12 MB.  glibc's malloc_trim(0) releases the hole's free pages.
-    """
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return
-    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    trim(0)
 
 
 class _Bordered:
@@ -314,7 +299,9 @@ def trace_branch(
 
     Corrector failure after exhausting step halvings truncates the branch
     (reported through ``Branch.truncated`` / ``Branch.diagnostic``); only a
-    failure to seed the very first point raises.
+    failure to seed the very first point raises.  When the last refused
+    attempt converged to a state with u < ZERO_THRESHOLD somewhere, the
+    diagnostic names the prey dead zone and the share of cells in it.
     """
     opts = opts or ContinuationOptions()
     onset = bifurcation_data(grid, params)
@@ -329,10 +316,18 @@ def trace_branch(
     area_weight = grid.cell_area
     corrector = _Corrector(grid, params, opts.corrector)
 
+    # share of cells with u < ZERO_THRESHOLD in the converged state that the
+    # last attempt refused for it; None if that attempt did not converge or
+    # was refused for another reason
+    dead_zone = None
+
     def attempt(y0, c_row, c_mu, c_target):
         """(y, iterations) if the corrector lands on a positive state, else None."""
+        nonlocal dead_zone
         y, iters, ok = corrector.solve(y0, c_row, c_mu, c_target)
         cls, _ = classify_state(State.unpack(grid, y[:-1]))
+        u = y[:n_cells]
+        dead_zone = float(np.mean(u < ZERO_THRESHOLD)) if ok and u.min() < ZERO_THRESHOLD else None
         return (y, iters) if ok and cls is SolutionClass.POSITIVE else None
 
     def make_point(y, iters):
@@ -411,7 +406,12 @@ def trace_branch(
             ds *= 0.5
             if ds < opts.ds_min:
                 truncated = True
-                diagnostic = f"corrector failed at the minimum step near mu={ys[-1][-1]:g}"
+                near = f"near mu={ys[-1][-1]:g}"
+                if dead_zone is None:
+                    diagnostic = f"corrector failed at the minimum step {near}"
+                else:
+                    diagnostic = (f"prey dead zone (min_u < {ZERO_THRESHOLD:g} in "
+                                  f"{100.0 * dead_zone:.3g}% of cells) {near}")
                 break
         if accepted is None:
             break

@@ -5,8 +5,12 @@ flux div(u^n grad u^{n+1}), predator d * L v^{n+1}); the reaction terms
 stay explicit.  Fixed points of one step are exactly the
 discrete steady states of the model residual, independent of dt.
 
-The linear variant's prey matrix and the predator matrix are constant, so
-each is factored once.  The nonlinear prey matrix A = I/dt - div(ubar grad .)
+The linear variant's prey matrix I/dt - L and the predator matrix
+I/dt - d L_ext are constant, and neither is factored:
+geometry.shifted_laplacian_solver solves the first by a DCT-II transform,
+which diagonalises it, and the second by the same transform corrected on
+the faces cut by the refuge through a capacitance matrix built once per
+stepper.  The nonlinear prey matrix A = I/dt - div(ubar grad .)
 changes every step but slowly, since u moves by O(dt).  A stepper's first
 step factors it.  Later steps solve A x = b by conjugate gradients
 preconditioned with the last LU, started from the extrapolation
@@ -18,6 +22,9 @@ more than REFRESH_ITERS iterations is accepted and A is factored for the
 next steps.  With no acceptance within MAX_CG_ITERS, or a curvature p.Ap
 that is not positive and finite (unclamped, A can be indefinite), the step
 falls back to a fresh LU of A and a direct solve, as on the first step.
+evolve_to_steady drops the kept LU before it returns and gives its heap
+pages back (geometry.release_free_memory), so that they do not add to the
+caller's next allocations.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from scipy.sparse.linalg import splu
 from .errors import ParameterError, StepError
 from .geometry import (
     LU_OPTIONS, ROUNDOFF_FACTOR, Grid, Region, _interior_faces, csr_positions,
-    exterior_laplacian_block, neumann_laplacian, predation_field, row_sum_norm,
+    neumann_laplacian, release_free_memory, row_sum_norm, shifted_laplacian_solver,
 )
 from .model import Diffusion, ModelParams, State, _holling_denominator
 
@@ -99,28 +106,19 @@ class _Stepper:
         self.params = params
         self.grid = grid
         self.dt = dt
-        self.bf = predation_field(grid, params.b).values
         self.ext = grid.exterior_cells
-        n_ext = grid.n_exterior
-
-        pred_matrix = (
-            sp.identity(n_ext, format="csr") / dt
-            - params.d * exterior_laplacian_block(grid)
-        )
-        self.pred_lu = splu(pred_matrix.tocsc(), **LU_OPTIONS)
-
-        lap_all = neumann_laplacian(grid, Region.ALL).matrix
+        self._lu = None  # the LU of the last factored prey matrix (nonlinear)
+        self.pred_solve = shifted_laplacian_solver(grid, 1.0 / dt, params.d, Region.EXTERIOR)
         if params.variant is Diffusion.LINEAR:
-            prey_matrix = sp.identity(grid.n_cells, format="csr") / dt - lap_all
-            self.prey_lu = splu(prey_matrix.tocsc(), **LU_OPTIONS)
+            self.prey_solve = shifted_laplacian_solver(grid, 1.0 / dt, 1.0)
         else:
-            self.prey_lu = None
-            self._lu = None  # the LU of the last factored prey matrix
+            self.prey_solve = None
             self._kept = ()  # the prey states u of the last two steps, newest first
             # I/dt - div(ubar grad .) has the Laplacian's pattern: each face
             # (p, q) writes -c_f at (p, q) and (q, p) and adds c_f to both
             # diagonals.  The pattern is symmetric, so its CSC arrays are
             # the CSR ones.
+            lap_all = neumann_laplacian(grid, Region.ALL).matrix
             (px, qx, wx), (py, qy, wy) = _interior_faces(grid, Region.ALL)
             self._p, self._q = np.concatenate([px, py]), np.concatenate([qx, qy])
             self._w = np.concatenate([np.full(px.size, wx), np.full(py.size, wy)])
@@ -160,23 +158,30 @@ class _Stepper:
         self._lu = splu(a, **LU_OPTIONS)
         return self._lu.solve(rhs) if solved is None else solved[0]
 
+    def release(self):
+        """Drop the kept prey LU, and return its freed pages to the system."""
+        if self._lu is not None:
+            self._lu = None
+            release_free_memory()
+
     def advance(self, u: np.ndarray, v_ext: np.ndarray):
         """One IMEX step on raw arrays; returns (u_new, v_ext_new)."""
         params, dt, ext = self.params, self.dt, self.ext
         den = _holling_denominator(params, u)
-        v_full = np.zeros(self.grid.n_cells)
-        v_full[ext] = v_ext
-
-        prey_reaction = params.lam * u - u * u - self.bf * u * v_full / den
-        try:
-            if self.prey_lu is not None:
-                u_new = self.prey_lu.solve(u / dt + prey_reaction)
-            else:
-                u_new = self._solve_prey(u, u / dt + prey_reaction)
-            pred_reaction = -params.mu * v_ext + params.c * u[ext] * v_ext / den[ext]
-            v_new = self.pred_lu.solve(v_ext / dt + pred_reaction)
-        except RuntimeError as exc:
-            raise StepError(f"implicit diffusion solve failed: {exc}") from exc
+        u_ext, den_ext = u[ext], den[ext]
+        # predation is 0 on refuge cells, where b is 0 and v is 0
+        prey_reaction = params.lam * u - u * u
+        prey_reaction[ext] -= params.b * u_ext * v_ext / den_ext
+        rhs = u / dt + prey_reaction
+        if self.prey_solve is not None:
+            u_new = self.prey_solve(rhs)
+        else:
+            try:
+                u_new = self._solve_prey(u, rhs)
+            except RuntimeError as exc:
+                raise StepError(f"implicit diffusion solve failed: {exc}") from exc
+        pred_reaction = -params.mu * v_ext + params.c * u_ext * v_ext / den_ext
+        v_new = self.pred_solve(v_ext / dt + pred_reaction)
         return u_new, v_new
 
 
@@ -237,6 +242,7 @@ def evolve_to_steady(
             steady = True
             break
 
+    stepper.release()
     if n_steps > 0 and clamped_total > CLAMP_WARN_FRACTION * n_slots * max(1, k):
         warnings.warn(
             f"clamped {clamped_total} negative cell-steps "

@@ -1,8 +1,12 @@
 """Branch tracing, onset detection, and cross-variant comparison."""
 
+import re
+
 import numpy as np
 import pytest
 
+from refugebif import continuation
+from refugebif.config import parse_config
 from refugebif.continuation import (
     Branch,
     ContinuationOptions,
@@ -178,6 +182,36 @@ class TestTraceBranch:
         assert branch.truncated
         assert "budget" in branch.diagnostic
         assert len(branch.points) == 4
+
+    def test_prey_dead_zone_is_diagnosed(self):
+        # the default nonlinear branch at n = 16 ends where the corrector
+        # converges to states with u < ZERO_THRESHOLD in a few cells
+        cfg = parse_config({"geometry": {"n": 16}})
+        assert cfg.params.variant is Diffusion.NONLINEAR
+        branch = trace_branch(cfg.grid, cfg.params, cfg.mu_min, cfg.continuation)
+        assert branch.truncated
+        assert 0.0035 < branch.points[-1].mu < 0.004
+        match = re.fullmatch(
+            r"prey dead zone \(min_u < 1e-08 in ([0-9.]+)% of cells\) near mu=(\S+)",
+            branch.diagnostic,
+        )
+        assert match, branch.diagnostic
+        assert 0.0 < float(match[1]) < 5.0
+        assert float(match[2]) == pytest.approx(branch.points[-1].mu, rel=1e-5)
+
+    def test_unconverged_corrector_is_not_a_dead_zone(self, refuge_grid_16, monkeypatch):
+        real = continuation._Corrector.solve
+        calls = []
+
+        def failing_after_four(self, *args):
+            y, iters, ok = real(self, *args)
+            calls.append(ok)
+            return y, iters, ok and len(calls) <= 4
+
+        monkeypatch.setattr(continuation._Corrector, "solve", failing_after_four)
+        branch = trace_branch(refuge_grid_16, make_params(), 0.08)
+        assert branch.truncated and len(branch.points) == 4
+        assert branch.diagnostic.startswith("corrector failed at the minimum step near mu=")
 
 
 class TestDetectOnset:

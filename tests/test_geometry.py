@@ -2,18 +2,24 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from refugebif.errors import GeometryError, ParameterError
 from refugebif.geometry import (
     EXTERIOR,
+    LU_OPTIONS,
     REFUGE,
     Region,
     ScalarField,
     build_grid,
     exterior_connected,
+    exterior_laplacian_block,
     integrate,
     neumann_laplacian,
     predation_field,
+    row_sum_norm,
+    shifted_laplacian_solver,
 )
 
 from conftest import REFUGE_BOX, disconnected_grid
@@ -158,6 +164,29 @@ class TestExteriorLaplacian:
         mode = eigvecs[:, 0]
         assert np.abs(mode - mode[0]).max() < 1e-10
         assert eigvals[1] > 1.0  # spectral gap, exterior connected
+
+
+@pytest.mark.parametrize(
+    "n_x,n_y,length",
+    [(16, 16, (1.0, 1.0)), (24, 24, (1.0, 1.0)), (32, 16, (2.0, 1.0))],
+)
+@pytest.mark.parametrize("box", [None, REFUGE_BOX, (0.125, 0.25, 0.5, 0.75)])
+@pytest.mark.parametrize("dt", [1e-3, 0.05])
+@pytest.mark.parametrize("d", [0.3, 1.0])
+@pytest.mark.parametrize("region", [Region.ALL, Region.EXTERIOR])
+def test_shifted_laplacian_solver_matches_lu(n_x, n_y, length, box, dt, d, region):
+    # the residual is taken against the assembled matrix, so a geometry that
+    # the transform no longer diagonalises fails here
+    grid = build_grid(n_x, n_y, domain_length=length, refuge_box=box)
+    lap = (neumann_laplacian(grid, Region.ALL).matrix if region is Region.ALL
+           else exterior_laplacian_block(grid))
+    a = (sp.identity(lap.shape[0], format="csr") / dt - d * lap).tocsr()
+    b = np.random.default_rng(n_x + n_y).standard_normal(lap.shape[0])
+    x = shifted_laplacian_solver(grid, 1.0 / dt, d, region)(b)
+    scale = row_sum_norm(a) * np.abs(x).max() + np.abs(b).max()
+    assert np.abs(b - a @ x).max() <= 20.0 * np.finfo(float).eps * scale
+    x_lu = splu(a.tocsc(), **LU_OPTIONS).solve(b)
+    assert np.abs(x - x_lu).max() <= 1e-12 * np.abs(x_lu).max()
 
 
 class TestIntegrate:

@@ -6,8 +6,10 @@ from scipy.sparse.linalg import splu
 
 from refugebif import timestepping
 from refugebif.errors import ParameterError
-from refugebif.geometry import LU_OPTIONS, Region, ScalarField, integrate
-from refugebif.model import Diffusion, ModelParams, State, residual, semi_trivial_state
+from refugebif.geometry import LU_OPTIONS, Region, ScalarField, integrate, predation_field
+from refugebif.model import (
+    Diffusion, ModelParams, State, _holling_denominator, residual, semi_trivial_state,
+)
 from refugebif.timestepping import TimeOptions, _Stepper, _stale_lu_cg, evolve_to_steady, step
 
 BOTH = [Diffusion.NONLINEAR, Diffusion.LINEAR]
@@ -60,6 +62,25 @@ class TestStep:
         for _ in range(3):
             st = step(make_params(), st, 1e-2)
             assert np.all(st.v.values[refuge_grid_16.refuge_mask] == 0.0)
+
+    @pytest.mark.parametrize("variant", BOTH)
+    def test_predation_on_exterior_cells_matches_the_full_grid_term(self, refuge_grid_16, variant):
+        # the step computes predation on exterior cells only; it must give the
+        # prey update of the full-grid term b u v / den bit for bit, with b
+        # and v zero on the refuge
+        grid, dt = refuge_grid_16, 0.01
+        p = make_params(variant, b=1.3)
+        rng = np.random.default_rng(8)
+        u = rng.uniform(0.0, 1.5, grid.n_cells)
+        v_ext = rng.uniform(0.0, 0.5, grid.n_exterior)
+        v_full = np.zeros(grid.n_cells)
+        v_full[grid.exterior_cells] = v_ext
+        bf = predation_field(grid, p.b).values
+        rhs = u / dt + (p.lam * u - u * u - bf * u * v_full / _holling_denominator(p, u))
+        u_new, _ = _Stepper(p, grid, dt).advance(u, v_ext)
+        fresh = _Stepper(p, grid, dt)
+        ref = fresh.prey_solve(rhs) if fresh.prey_solve else fresh._solve_prey(u, rhs)
+        assert np.array_equal(u_new, ref)
 
     def test_invalid_dt_rejected(self, refuge_grid_16):
         for dt in (0.0, np.nan, np.inf):
@@ -251,6 +272,18 @@ class TestStaleLuSolve:
         assert x is not x0 and np.array_equal(x, start)
         x[:] = -1.0
         assert np.array_equal(x0, start)
+
+    @pytest.mark.parametrize("variant", BOTH)
+    def test_evolve_releases_the_kept_lu(self, refuge_grid_16, monkeypatch, variant):
+        # a freed LU left in the heap adds its pages to the caller's next
+        # allocations, so evolve_to_steady trims once it has dropped one
+        trims = []
+        monkeypatch.setattr(timestepping, "release_free_memory", lambda: trims.append(1))
+        evolve_to_steady(
+            make_params(variant), positive_state(refuge_grid_16),
+            TimeOptions(dt=0.01, t_max=0.05, steady_tol=1e-14),
+        )
+        assert len(trims) == (1 if variant is Diffusion.NONLINEAR else 0)
 
     @staticmethod
     def count_lus(monkeypatch, params, state, dt):
