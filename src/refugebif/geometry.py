@@ -54,7 +54,7 @@ class Grid:
     Cells are indexed flat as ``k = j * n_x + i`` (x fastest).
     ``exterior_cells`` lists EXTERIOR flat indices in increasing order.
     Instances are immutable after construction; ``_cache`` only memoizes
-    operators that are pure functions of the grid, and the pattern of J.
+    grid operators, the pattern of J and the last shifted solver per region.
     """
 
     n_x: int
@@ -304,7 +304,7 @@ def _dct_matrix(n: int) -> np.ndarray:
 
 def shifted_laplacian_solver(grid: Grid, alpha: float, d: float, region: Region = Region.ALL):
     """``solve(b)`` for ``(alpha I - d L) x = b`` on the packed unknowns of
-    ``region``, with L the region's Neumann Laplacian; alpha, d > 0.
+    ``region`` (L its Neumann Laplacian; alpha, d > 0), kept by the grid.
 
     On the whole rectangle the orthonormal DCT-II in each axis diagonalises
     L, so a solve is four small GEMMs and a division by the eigenvalues.
@@ -317,6 +317,13 @@ def shifted_laplacian_solver(grid: Grid, alpha: float, d: float, region: Region 
     built once from k solves with M (Buzbee, Dorr, George & Golub 1971;
     Proskurowski & Widlund 1976).
     """
+    key = ("shifted_laplacian_solver", region)
+    if grid._cache.get(key, (None, None))[:2] != (alpha, d):
+        grid._cache[key] = (alpha, d, _build_shifted_laplacian_solver(grid, alpha, d, region))
+    return grid._cache[key][2]
+
+
+def _build_shifted_laplacian_solver(grid: Grid, alpha: float, d: float, region: Region):
     n_x, n_y = grid.n_x, grid.n_y
     (px, qx, wx), (py, qy, wy) = _interior_faces(grid, Region.ALL)
     c_x, c_y = _dct_matrix(n_x), _dct_matrix(n_y)

@@ -9,10 +9,11 @@ The linear variant's prey matrix I/dt - L and the predator matrix
 I/dt - d L_ext are constant, and neither is factored:
 geometry.shifted_laplacian_solver solves the first by a DCT-II transform,
 which diagonalises it, and the second by the same transform corrected on
-the faces cut by the refuge through a capacitance matrix built once per
-stepper.  The nonlinear prey matrix A = I/dt - div(ubar grad .)
-changes every step but slowly, since u moves by O(dt).  A stepper's first
-step factors it.  Later steps solve A x = b by conjugate gradients
+the faces cut by the refuge through a capacitance matrix (kept by the grid).
+The nonlinear prey matrix A = I/dt - div(ubar grad .) changes every step
+but slowly, since u moves by O(dt); it is kept as five diagonals rewritten
+in place, and built in CSC form only when a step factors it, as a stepper's
+first step does.  Later steps solve A x = b by conjugate gradients
 preconditioned with the last LU, started from the extrapolation
 3u - 3u_1 + u_2 of the prey states of the last steps (2u - u_1 with one
 kept), and accept x only when the true residual is at the round-off floor a
@@ -39,8 +40,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import ParameterError, StepError
 from .geometry import (
-    LU_OPTIONS, ROUNDOFF_FACTOR, Grid, Region, _interior_faces, csr_positions,
-    neumann_laplacian, release_free_memory, row_sum_norm, shifted_laplacian_solver,
+    LU_OPTIONS, ROUNDOFF_FACTOR, Grid, Region, _interior_faces, neumann_laplacian,
+    release_free_memory, shifted_laplacian_solver,
 )
 from .model import Diffusion, ModelParams, State, _holling_denominator
 
@@ -67,9 +68,9 @@ class TimeOptions:
             raise ParameterError("dt, t_max and steady_tol must be finite")
 
 
-def _stale_lu_cg(a: sp.csc_matrix, b: np.ndarray, lu, x0: np.ndarray):
+def _stale_lu_cg(a, b: np.ndarray, lu, x0: np.ndarray, a_norm: float):
     """Solve the symmetric system ``a x = b`` by CG preconditioned with ``lu``,
-    the LU of a nearby matrix, from the start ``x0``.
+    the LU of a nearby matrix, from the start ``x0``; ``a_norm`` is |a|_inf.
 
     Returns ``(x, k)`` for the first iterate whose true residual is within
     ROUNDOFF_FACTOR * eps * (|a| |x| + |b|) in the max-norm, or None if none
@@ -77,8 +78,6 @@ def _stale_lu_cg(a: sp.csc_matrix, b: np.ndarray, lu, x0: np.ndarray):
     finite.  ``k`` counts both the iterations and the ``lu.solve`` calls (0
     when ``x0`` already passes); ``x`` is never ``x0`` itself.
     """
-    # a is symmetric, so its column sums are its row sums
-    a_norm = row_sum_norm(a)
     b_norm = np.abs(b).max()
     scale = ROUNDOFF_FACTOR * np.finfo(float).eps
     x = x0.copy()
@@ -114,48 +113,57 @@ class _Stepper:
         else:
             self.prey_solve = None
             self._kept = ()  # the prey states u of the last two steps, newest first
-            # I/dt - div(ubar grad .) has the Laplacian's pattern: each face
-            # (p, q) writes -c_f at (p, q) and (q, p) and adds c_f to both
-            # diagonals.  The pattern is symmetric, so its CSC arrays are
-            # the CSR ones.
-            lap_all = neumann_laplacian(grid, Region.ALL).matrix
-            (px, qx, wx), (py, qy, wy) = _interior_faces(grid, Region.ALL)
-            self._p, self._q = np.concatenate([px, py]), np.concatenate([qx, qy])
-            self._w = np.concatenate([np.full(px.size, wx), np.full(py.size, wy)])
-            self._pattern = (lap_all.indices, lap_all.indptr)
-            cells = np.arange(grid.n_cells)
-            self._pq = csr_positions(lap_all, self._p, self._q)
-            self._qp = csr_positions(lap_all, self._q, self._p)
-            self._diag = csr_positions(lap_all, cells, cells)
+            # A = I/dt - div(ubar grad .) as its diagonals at offsets (-n_x, -1, 0,
+            # 1, n_x): row k holds A[j - offset_k, j] at column j, so -c on the
+            # north, east, west and south face of cell j, and 0 off the grid
+            lap = neumann_laplacian(grid, Region.ALL).matrix
+            offsets = np.array([-grid.n_x, -1, 0, 1, grid.n_x])
+            self._a = sp.dia_matrix((np.zeros((5, grid.n_cells)), offsets), shape=lap.shape)
+            (_, _, self._wx), (_, _, self._wy) = _interior_faces(grid, Region.ALL)
+            # the slot of each entry of the Laplacian's (symmetric) pattern
+            self._pattern = (lap.indices, lap.indptr)
+            cols = np.repeat(np.arange(grid.n_cells), np.diff(lap.indptr))
+            self._slots = np.searchsorted(offsets, cols - lap.indices) * grid.n_cells + cols
+
+    def _write_diagonals(self, u: np.ndarray) -> float:
+        """Write A, with arithmetic face means of the frozen u, in place, and
+        return |A|_inf summed as geometry.row_sum_norm sums A's CSC columns:
+        the first stored entry plus the others, in row order."""
+        n_y, n_x = self.grid.n_y, self.grid.n_x
+        north, east, diag, west, south = self._a.data.reshape(5, n_y, n_x)
+        grid_u = u.reshape(n_y, n_x)
+        east[:, :-1] = -0.5 * (grid_u[:, :-1] + grid_u[:, 1:]) * self._wx
+        west[:, 1:] = east[:, :-1]
+        north[:-1] = -0.5 * (grid_u[:-1] + grid_u[1:]) * self._wy
+        south[1:] = north[:-1]
+        # 1/dt, plus c over the faces (j, q), plus c over the faces (p, j)
+        diag[:] = (1.0 / self.dt - (east + north)) - (west + south)
+        north, east, diag, west, south = np.abs(self._a.data)
+        sums = south + (((west + diag) + east) + north)
+        # columns 0 .. n_x - 1 have no south entry, and column 0 no west one
+        sums[1:n_x] = west[1:n_x] + ((diag[1:n_x] + east[1:n_x]) + north[1:n_x])
+        sums[0] = diag[0] + (east[0] + north[0])
+        return float(sums.max())
 
     def _prey_matrix(self, u: np.ndarray) -> sp.csc_matrix:
-        """I/dt - div(ubar grad .) with arithmetic face means of the frozen u."""
-        n = self.grid.n_cells
-        coeff = 0.5 * (u[self._p] + u[self._q]) * self._w
-        data = np.empty(self._pattern[0].size)
-        data[self._pq] = -coeff
-        data[self._qp] = -coeff
-        data[self._diag] = (
-            1.0 / self.dt
-            + np.bincount(self._p, coeff, minlength=n)
-            + np.bincount(self._q, coeff, minlength=n)
-        )
-        return sp.csc_matrix((data, *self._pattern), shape=(n, n))
+        """A for the frozen u in CSC form, in the Laplacian's pattern."""
+        self._write_diagonals(u)
+        return sp.csc_matrix((self._a.data.ravel()[self._slots], *self._pattern), self._a.shape)
 
     def _solve_prey(self, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve the nonlinear prey system, by stale-LU CG when it is accepted."""
-        a = self._prey_matrix(u)
+        a_norm = self._write_diagonals(u)
         kept, self._kept = self._kept, (u, *self._kept[:1])
         solved = None
         if self._lu is not None:
             x0 = (3.0 * (u - kept[0]) + kept[1] if len(kept) == 2
                   else 2.0 * u - kept[0] if kept else u)
-            solved = _stale_lu_cg(a, rhs, self._lu, x0)
+            solved = _stale_lu_cg(self._a, rhs, self._lu, x0, a_norm)
         if solved is not None and solved[1] <= REFRESH_ITERS:
             return solved[0]
         # drop the old factor first, so that two are never alive at once
         self._lu = None
-        self._lu = splu(a, **LU_OPTIONS)
+        self._lu = splu(self._prey_matrix(u), **LU_OPTIONS)
         return self._lu.solve(rhs) if solved is None else solved[0]
 
     def release(self):

@@ -115,9 +115,11 @@ def test_grid_caches_operators_only():
     zeroed = State(replace(last.u, values=u), last.v)
     assert jacobian(p, zeroed).matrix.nnz == jacobian(p, last).matrix.nnz
     newton.newton_solve(replace(p, mu=0.44), zeroed)
+    # the IMEX predator solver is kept per region, an operator and no LU
     assert set(grid._cache) == {
         ("laplacian", Region.ALL),
         ("laplacian", Region.EXTERIOR),
         "exterior_laplacian_block",
         "jacobian_pattern",
+        ("shifted_laplacian_solver", Region.EXTERIOR),
     }

@@ -1,12 +1,16 @@
 """Semi-implicit time stepping: equilibria, decay, steadiness, clamping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
 from refugebif import timestepping
 from refugebif.errors import ParameterError
-from refugebif.geometry import LU_OPTIONS, Region, ScalarField, integrate, predation_field
+from refugebif.geometry import (
+    LU_OPTIONS, Region, ScalarField, build_grid, integrate, predation_field, row_sum_norm,
+)
 from refugebif.model import (
     Diffusion, ModelParams, State, _holling_denominator, residual, semi_trivial_state,
 )
@@ -81,6 +85,22 @@ class TestStep:
         fresh = _Stepper(p, grid, dt)
         ref = fresh.prey_solve(rhs) if fresh.prey_solve else fresh._solve_prey(u, rhs)
         assert np.array_equal(u_new, ref)
+
+    @pytest.mark.parametrize("variant", BOTH)
+    def test_steppers_share_the_grids_solvers(self, variant):
+        # the capacitance matrix of the predator solver is built once per
+        # (grid, dt, d), not once per step() call
+        grid = build_grid(16, refuge_box=(0.25, 0.25, 0.75, 0.75))
+        p = make_params(variant)
+        first = _Stepper(p, grid, 0.01)
+        second = _Stepper(p, grid, 0.01)
+        assert second.pred_solve is first.pred_solve
+        assert second.prey_solve is first.prey_solve
+        other_dt = _Stepper(p, grid, 0.02)
+        assert other_dt.pred_solve is not first.pred_solve
+        if variant is Diffusion.LINEAR:
+            assert other_dt.prey_solve is not first.prey_solve
+        assert _Stepper(replace(p, d=0.5), grid, 0.02).pred_solve is not other_dt.pred_solve
 
     def test_invalid_dt_rejected(self, refuge_grid_16):
         for dt in (0.0, np.nan, np.inf):
@@ -235,7 +255,8 @@ class TestStaleLuSolve:
         for u in (far, indefinite):
             a = stepper._prey_matrix(u)
             stepper._lu = splu(stepper._prey_matrix(stale), **LU_OPTIONS)
-            assert _stale_lu_cg(a, rhs, stepper._lu, stepper._lu.solve(rhs)) is None
+            x0 = stepper._lu.solve(rhs)
+            assert _stale_lu_cg(a, rhs, stepper._lu, x0, row_sum_norm(a)) is None
             fallback = stepper._solve_prey(u, rhs)
             assert np.array_equal(fallback, splu(a, **LU_OPTIONS).solve(rhs))
 
@@ -246,7 +267,7 @@ class TestStaleLuSolve:
         rhs = u / 0.05
         a = stepper._prey_matrix(u)
         lu = splu(stepper._prey_matrix(1.001 * u), **LU_OPTIONS)
-        x, iters = _stale_lu_cg(a, rhs, lu, lu.solve(rhs))
+        x, iters = _stale_lu_cg(a, rhs, lu, lu.solve(rhs), row_sum_norm(a))
         assert 0 < iters <= timestepping.REFRESH_ITERS
         direct = splu(a, **LU_OPTIONS).solve(rhs)
         assert np.abs(x - direct).max() <= 1e-13 * np.abs(direct).max()
@@ -267,7 +288,7 @@ class TestStaleLuSolve:
                 return lu.solve(r)
 
         counting = CountingLu()
-        x, iters = _stale_lu_cg(a, rhs, counting, x0)
+        x, iters = _stale_lu_cg(a, rhs, counting, x0, row_sum_norm(a))
         assert iters == 0 and counting.calls == 0
         assert x is not x0 and np.array_equal(x, start)
         x[:] = -1.0
@@ -336,6 +357,132 @@ class TestPreyMatrix:
             shape=(n, n),
         ).tocsc()
         return sp.identity(n, format="csc") / dt - flux
+
+    @staticmethod
+    def bincount_build(grid, u, dt):
+        """The prey matrix assembled into the Laplacian's CSC pattern face by
+        face, with the diagonal summed by bincount (the reference for the
+        diagonal storage)."""
+        import scipy.sparse as sp
+
+        from refugebif.geometry import _interior_faces, csr_positions, neumann_laplacian
+
+        lap = neumann_laplacian(grid, Region.ALL).matrix
+        (px, qx, wx), (py, qy, wy) = _interior_faces(grid, Region.ALL)
+        p, q = np.concatenate([px, py]), np.concatenate([qx, qy])
+        w = np.concatenate([np.full(px.size, wx), np.full(py.size, wy)])
+        n = grid.n_cells
+        coeff = 0.5 * (u[p] + u[q]) * w
+        data = np.empty(lap.nnz)
+        data[csr_positions(lap, p, q)] = -coeff
+        data[csr_positions(lap, q, p)] = -coeff
+        cells = np.arange(n)
+        data[csr_positions(lap, cells, cells)] = (
+            1.0 / dt + np.bincount(p, coeff, minlength=n) + np.bincount(q, coeff, minlength=n)
+        )
+        return sp.csc_matrix((data, lap.indices, lap.indptr), shape=(n, n))
+
+    @staticmethod
+    def rough_u(grid, seed):
+        """Prey values over many scales, with zeros and negatives."""
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(-1.0, 2.0, grid.n_cells) * np.exp(rng.uniform(-5.0, 5.0, grid.n_cells))
+        u[rng.random(grid.n_cells) < 0.3] = 0.0
+        return u
+
+    @pytest.fixture(params=["refuge_16", "wide_32x16"])
+    def grid(self, request, refuge_grid_16):
+        # n_x != n_y catches a swapped offset
+        if request.param == "refuge_16":
+            return refuge_grid_16
+        return build_grid(32, 16, (2.0, 1.0), (0.5, 0.25, 1.0, 0.75))
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.05])
+    def test_diagonals_match_the_csc_assembly_bitwise(self, grid, dt):
+        stepper = _Stepper(make_params(), grid, dt)
+        rng = np.random.default_rng(11)
+        # a hot cell puts the largest row sum in its own column: the corners
+        # and the first row, whose columns store fewer entries, and interior
+        n_x, n = grid.n_x, grid.n_cells
+        for seed, hot in enumerate([None, 0, 1, n_x - 1, n_x, n_x + 1, n // 2, n - 1] * 6):
+            u = self.rough_u(grid, seed)
+            if hot is not None:
+                u[hot] = 1e6 * rng.uniform(1.0, 2.0)
+            ref = self.bincount_build(grid, u, dt)
+            assert np.count_nonzero(u == 0.0) and np.count_nonzero(u < 0.0)
+            a_norm = stepper._write_diagonals(u)
+            assert np.array_equal(stepper._a.toarray(), ref.toarray())
+            for x in (rng.standard_normal(n), u):
+                assert np.array_equal(stepper._a @ x, ref @ x)
+            assert a_norm == row_sum_norm(ref)
+
+    def test_factored_matrix_keeps_the_laplacian_pattern(self, grid, monkeypatch):
+        # the first step, a refresh after a slow CG and a fall-back on an
+        # indefinite matrix each hand splu the CSC matrix with explicit zeros
+        from refugebif.geometry import neumann_laplacian
+
+        factored, iters = [], []
+        cg = timestepping._stale_lu_cg
+
+        def recording(a, **kwargs):
+            factored.append(a)
+            return splu(a, **kwargs)
+
+        def counting(*args):
+            solved = cg(*args)
+            iters.append(None if solved is None else solved[1])
+            return solved
+
+        monkeypatch.setattr(timestepping, "splu", recording)
+        monkeypatch.setattr(timestepping, "_stale_lu_cg", counting)
+        stepper = _Stepper(make_params(), grid, 0.05)
+        lap = neumann_laplacian(grid, Region.ALL).matrix
+        rhs = np.random.default_rng(12).standard_normal(grid.n_cells)
+        u = np.abs(self.rough_u(grid, 0))
+        frozen = [u, 1.1 * u, self.rough_u(grid, 2)]
+        for u in frozen:
+            stepper._solve_prey(u, rhs)
+        assert iters[0] > timestepping.REFRESH_ITERS and iters[1] is None
+        assert len(factored) == len(frozen)
+        for a, u in zip(factored, frozen):
+            ref = self.bincount_build(grid, u, 0.05)
+            assert a.format == "csc"
+            assert np.array_equal(a.indptr, lap.indptr) and np.array_equal(a.indices, lap.indices)
+            assert np.array_equal(a.data, ref.data)
+            assert np.count_nonzero(a.data == 0.0) > 0
+
+    def test_evolve_matches_a_run_on_the_csc_product(self, refuge_grid_16, monkeypatch):
+        grid, dt = refuge_grid_16, 0.05
+        p = make_params(mu=0.3)
+        opts = TimeOptions(dt=dt, t_max=500.0, steady_tol=1e-9)
+
+        def run():
+            steps = []
+            final, steady = evolve_to_steady(
+                p, positive_state(grid, u0=0.3, v0=0.4), opts,
+                lambda k, t, s, c: steps.append(k),
+            )
+            return final.pack(), steady, len(steps)
+
+        on_diagonals = run()
+        frozen, products = [], []
+        write, cg = _Stepper._write_diagonals, timestepping._stale_lu_cg
+
+        def recording(self, u):
+            frozen.append(u)
+            write(self, u)
+
+        def on_csc(a, b, lu, x0, a_norm):
+            csc = self.bincount_build(grid, frozen[-1], dt)
+            products.append(1)
+            return cg(csc, b, lu, x0, row_sum_norm(csc))
+
+        monkeypatch.setattr(_Stepper, "_write_diagonals", recording)
+        monkeypatch.setattr(timestepping, "_stale_lu_cg", on_csc)
+        on_csc_matrix = run()
+        assert on_diagonals[1] and len(products) >= on_diagonals[2] - 20
+        assert on_diagonals[1:] == on_csc_matrix[1:]
+        assert np.array_equal(on_diagonals[0], on_csc_matrix[0])
 
     @pytest.mark.parametrize("dt", [1e-3, 0.05])
     def test_fixed_pattern_matches_coo_build(self, refuge_grid_16, dt):
