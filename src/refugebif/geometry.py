@@ -54,7 +54,8 @@ class Grid:
     Cells are indexed flat as ``k = j * n_x + i`` (x fastest).
     ``exterior_cells`` lists EXTERIOR flat indices in increasing order.
     Instances are immutable after construction; ``_cache`` only memoizes
-    grid operators, the pattern of J and the last shifted solver per region.
+    grid operators, the pattern of J, the DCT transforms and the last
+    shifted solver per region.
     """
 
     n_x: int
@@ -302,20 +303,41 @@ def _dct_matrix(n: int) -> np.ndarray:
     return c
 
 
+def dct_solver(grid: Grid, alpha: float, d: float):
+    """``solve(b)`` for ``(alpha I - d L) x = b`` on the whole rectangle, by
+    the orthonormal DCT-II in each axis, which diagonalises L: four small
+    GEMMs and a division by the eigenvalues.  The grid keeps the DCT
+    matrices and the 1-D eigenvalues, so a solver for a new (alpha, d) costs
+    one array of eigenvalues; the solver itself is not kept."""
+    n_x, n_y = grid.n_x, grid.n_y
+    basis = grid._cache.get("dct_basis")
+    if basis is None:
+        (_, _, wx), (_, _, wy) = _interior_faces(grid, Region.ALL)
+        eig_x = 4.0 * wx * np.sin(0.5 * np.pi / n_x * np.arange(n_x)) ** 2
+        eig_y = 4.0 * wy * np.sin(0.5 * np.pi / n_y * np.arange(n_y)) ** 2
+        basis = grid._cache["dct_basis"] = (_dct_matrix(n_x), _dct_matrix(n_y), eig_x, eig_y)
+    c_x, c_y, eig_x, eig_y = basis
+    inv_eig = 1.0 / (alpha + d * (eig_y[:, None] + eig_x[None, :]))
+
+    def solve(b):
+        b_hat = c_y @ b.reshape(n_y, n_x) @ c_x.T
+        return (c_y.T @ (b_hat * inv_eig) @ c_x).ravel()
+
+    return solve
+
+
 def shifted_laplacian_solver(grid: Grid, alpha: float, d: float, region: Region = Region.ALL):
     """``solve(b)`` for ``(alpha I - d L) x = b`` on the packed unknowns of
     ``region`` (L its Neumann Laplacian; alpha, d > 0), kept by the grid.
 
-    On the whole rectangle the orthonormal DCT-II in each axis diagonalises
-    L, so a solve is four small GEMMs and a division by the eigenvalues.
-    The EXTERIOR operator is the same matrix M = alpha I - d L with the k
-    faces cut by the refuge taken out, M' = M - B D B^T, where B holds
-    e_p - e_q per cut face and D = diag(d w_f).  M' splits into the
-    exterior block and a refuge block, so its solve with b = 0 on the
-    refuge is the exterior solve.  By Woodbury it costs two solves with M
-    and a product with the k x k capacitance matrix (D^-1 - B^T M^-1 B)^-1,
-    built once from k solves with M (Buzbee, Dorr, George & Golub 1971;
-    Proskurowski & Widlund 1976).
+    On the whole rectangle this is ``dct_solver``.  The EXTERIOR operator is
+    the same matrix M = alpha I - d L with the k faces cut by the refuge
+    taken out, M' = M - B D B^T, where B holds e_p - e_q per cut face and
+    D = diag(d w_f).  M' splits into the exterior block and a refuge block,
+    so its solve with b = 0 on the refuge is the exterior solve.  By
+    Woodbury it costs two solves with M and a product with the k x k
+    capacitance matrix (D^-1 - B^T M^-1 B)^-1, built once from k solves with
+    M (Buzbee, Dorr, George & Golub 1971; Proskurowski & Widlund 1976).
     """
     key = ("shifted_laplacian_solver", region)
     if grid._cache.get(key, (None, None))[:2] != (alpha, d):
@@ -324,20 +346,11 @@ def shifted_laplacian_solver(grid: Grid, alpha: float, d: float, region: Region 
 
 
 def _build_shifted_laplacian_solver(grid: Grid, alpha: float, d: float, region: Region):
-    n_x, n_y = grid.n_x, grid.n_y
-    (px, qx, wx), (py, qy, wy) = _interior_faces(grid, Region.ALL)
-    c_x, c_y = _dct_matrix(n_x), _dct_matrix(n_y)
-    eig_x = 4.0 * wx * np.sin(0.5 * np.pi / n_x * np.arange(n_x)) ** 2
-    eig_y = 4.0 * wy * np.sin(0.5 * np.pi / n_y * np.arange(n_y)) ** 2
-    inv_eig = 1.0 / (alpha + d * (eig_y[:, None] + eig_x[None, :]))
-
-    def solve_all(b):
-        b_hat = c_y @ b.reshape(n_y, n_x) @ c_x.T
-        return (c_y.T @ (b_hat * inv_eig) @ c_x).ravel()
-
+    solve_all = dct_solver(grid, alpha, d)
     if region is Region.ALL:
         return solve_all
 
+    (px, qx, wx), (py, qy, wy) = _interior_faces(grid, Region.ALL)
     ext = grid.cell_region == EXTERIOR
     p, q = np.concatenate([px, py]), np.concatenate([qx, qy])
     w = np.concatenate([np.full(px.size, wx), np.full(py.size, wy)])

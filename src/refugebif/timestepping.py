@@ -12,20 +12,25 @@ which diagonalises it, and the second by the same transform corrected on
 the faces cut by the refuge through a capacitance matrix (kept by the grid).
 The nonlinear prey matrix A = I/dt - div(ubar grad .) changes every step
 but slowly, since u moves by O(dt); it is kept as five diagonals rewritten
-in place, and built in CSC form only when a step factors it, as a stepper's
-first step does.  Later steps solve A x = b by conjugate gradients
-preconditioned with the last LU, started from the extrapolation
-3u - 3u_1 + u_2 of the prey states of the last steps (2u - u_1 with one
-kept), and accept x only when the true residual is at the round-off floor a
-direct solve reaches, |b - A x|_inf <= 10 eps (|A|_inf |x|_inf + |b|_inf).
-Each iteration is one triangular solve with the LU.  A solve that needed
-more than REFRESH_ITERS iterations is accepted and A is factored for the
-next steps.  With no acceptance within MAX_CG_ITERS, or a curvature p.Ap
-that is not positive and finite (unclamped, A can be indefinite), the step
-falls back to a fresh LU of A and a direct solve, as on the first step.
-evolve_to_steady drops the kept LU before it returns and gives its heap
-pages back (geometry.release_free_memory), so that they do not add to the
-caller's next allocations.
+in place.  Each step solves A x = b by conjugate gradients with a kept
+preconditioner, started from the extrapolation 3u - 3u_1 + u_2 of the prey
+states of the last steps (2u - u_1 with one kept), and accepts x only when
+the true residual is at the round-off floor a direct solve reaches,
+|b - A x|_inf <= 10 eps (|A|_inf |x|_inf + |b|_inf).  A refresh, as on a
+stepper's first step, first builds the DCT solve of I/dt - mean(u) L
+(geometry.dct_solver), exact for a uniform u and close while u is smooth
+(Concus & Golub 1973).  Only when CG with that fresh preconditioner needs
+more than REFRESH_ITERS iterations, or is refused, is A built in CSC form
+and factored, and its LU kept in its place; the next refresh tries the DCT
+again.  A solve with a kept preconditioner that needed more than
+REFRESH_ITERS iterations is accepted and the next step refreshes.  With no
+acceptance within MAX_CG_ITERS, or a curvature p.Ap that is not positive
+and finite (unclamped, A can be indefinite), the step refreshes at once,
+and if the fresh DCT is refused too, falls back to the LU of A and a
+direct solve.  evolve_to_steady drops the preconditioner before it returns
+and gives the free heap pages of the factors it dropped back
+(geometry.release_free_memory), so that they do not add to the caller's
+next allocations.
 """
 
 from __future__ import annotations
@@ -40,16 +45,16 @@ from scipy.sparse.linalg import splu
 
 from .errors import ParameterError, StepError
 from .geometry import (
-    LU_OPTIONS, ROUNDOFF_FACTOR, Grid, Region, _interior_faces, neumann_laplacian,
+    LU_OPTIONS, ROUNDOFF_FACTOR, Grid, Region, _interior_faces, dct_solver, neumann_laplacian,
     release_free_memory, shifted_laplacian_solver,
 )
 from .model import Diffusion, ModelParams, State, _holling_denominator
 
 # clamped negative-undershoot budget before a run is flagged
 CLAMP_WARN_FRACTION = 1e-3
-# stale-LU CG on the nonlinear prey matrix: refactor after a solve that took
-# more than REFRESH_ITERS iterations; fall back to a direct solve after
-# MAX_CG_ITERS; accept at geometry.ROUNDOFF_FACTOR times the round-off scale
+# preconditioned CG on the nonlinear prey matrix: refresh the preconditioner
+# after a solve that took more than REFRESH_ITERS iterations; refresh at once
+# after MAX_CG_ITERS; accept at geometry.ROUNDOFF_FACTOR times the round-off scale
 REFRESH_ITERS = 3
 MAX_CG_ITERS = 12
 
@@ -68,14 +73,16 @@ class TimeOptions:
             raise ParameterError("dt, t_max and steady_tol must be finite")
 
 
-def _stale_lu_cg(a, b: np.ndarray, lu, x0: np.ndarray, a_norm: float):
-    """Solve the symmetric system ``a x = b`` by CG preconditioned with ``lu``,
-    the LU of a nearby matrix, from the start ``x0``; ``a_norm`` is |a|_inf.
+def _preconditioned_cg(a, b: np.ndarray, solve, x0: np.ndarray, a_norm: float):
+    """Solve the symmetric system ``a x = b`` by CG preconditioned with
+    ``solve``, an approximate inverse of ``a`` (the DCT solve of a constant
+    coefficient matrix, or the LU solve of a nearby one), from the start
+    ``x0``; ``a_norm`` is |a|_inf.
 
     Returns ``(x, k)`` for the first iterate whose true residual is within
     ROUNDOFF_FACTOR * eps * (|a| |x| + |b|) in the max-norm, or None if none
     is within MAX_CG_ITERS or a curvature p.Ap (or r.z) is not positive and
-    finite.  ``k`` counts both the iterations and the ``lu.solve`` calls (0
+    finite.  ``k`` counts both the iterations and the ``solve`` calls (0
     when ``x0`` already passes); ``x`` is never ``x0`` itself.
     """
     b_norm = np.abs(b).max()
@@ -87,7 +94,7 @@ def _stale_lu_cg(a, b: np.ndarray, lu, x0: np.ndarray, a_norm: float):
             return x, k
         if k == MAX_CG_ITERS:
             return None
-        z = lu.solve(r)
+        z = solve(r)
         rz = r @ z
         p = z if k == 0 else z + (rz / rz_old) * p
         ap = a @ p
@@ -106,7 +113,7 @@ class _Stepper:
         self.grid = grid
         self.dt = dt
         self.ext = grid.exterior_cells
-        self._lu = None  # the LU of the last factored prey matrix (nonlinear)
+        self._precond = None  # solve() of the kept prey preconditioner (nonlinear)
         self.pred_solve = shifted_laplacian_solver(grid, 1.0 / dt, params.d, Region.EXTERIOR)
         if params.variant is Diffusion.LINEAR:
             self.prey_solve = shifted_laplacian_solver(grid, 1.0 / dt, 1.0)
@@ -151,25 +158,31 @@ class _Stepper:
         return sp.csc_matrix((self._a.data.ravel()[self._slots], *self._pattern), self._a.shape)
 
     def _solve_prey(self, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve the nonlinear prey system, by stale-LU CG when it is accepted."""
+        """Solve the nonlinear prey system by CG with the kept preconditioner,
+        refreshing it, by the DCT first and an LU if that is refused."""
         a_norm = self._write_diagonals(u)
         kept, self._kept = self._kept, (u, *self._kept[:1])
-        solved = None
-        if self._lu is not None:
-            x0 = (3.0 * (u - kept[0]) + kept[1] if len(kept) == 2
-                  else 2.0 * u - kept[0] if kept else u)
-            solved = _stale_lu_cg(self._a, rhs, self._lu, x0, a_norm)
+        x0 = (3.0 * (u - kept[0]) + kept[1] if len(kept) == 2
+              else 2.0 * u - kept[0] if kept else u)
+        if self._precond is not None:
+            solved = _preconditioned_cg(self._a, rhs, self._precond, x0, a_norm)
+            if solved is not None:
+                if solved[1] > REFRESH_ITERS:
+                    self._precond = None
+                return solved[0]
+        # the DCT replaces an old factor first, so that two are never alive at once
+        self._precond = dct_solver(self.grid, 1.0 / self.dt, max(float(u.mean()), 0.0))
+        solved = _preconditioned_cg(self._a, rhs, self._precond, x0, a_norm)
         if solved is not None and solved[1] <= REFRESH_ITERS:
             return solved[0]
-        # drop the old factor first, so that two are never alive at once
-        self._lu = None
-        self._lu = splu(self._prey_matrix(u), **LU_OPTIONS)
-        return self._lu.solve(rhs) if solved is None else solved[0]
+        self._precond = splu(self._prey_matrix(u), **LU_OPTIONS).solve
+        return self._precond(rhs) if solved is None else solved[0]
 
     def release(self):
-        """Drop the kept prey LU, and return its freed pages to the system."""
-        if self._lu is not None:
-            self._lu = None
+        """Drop the kept prey preconditioner, and return the free heap pages,
+        which a factor dropped during the run may have left, to the system."""
+        if self._precond is not None:
+            self._precond = None
             release_free_memory()
 
     def advance(self, u: np.ndarray, v_ext: np.ndarray):

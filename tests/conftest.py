@@ -60,3 +60,11 @@ def random_state(grid, rng, u_range=(0.2, 2.0), v_range=(0.0, 1.0)):
         ScalarField(grid, u, Region.ALL),
         ScalarField(grid, v, Region.EXTERIOR),
     )
+
+
+def rough_u(grid, seed):
+    """Prey values over many scales, with zeros and negatives."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1.0, 2.0, grid.n_cells) * np.exp(rng.uniform(-5.0, 5.0, grid.n_cells))
+    u[rng.random(grid.n_cells) < 0.3] = 0.0
+    return u

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from refugebif import geometry, timestepping
 from refugebif.errors import GeometryError, ParameterError
 from refugebif.geometry import (
     EXTERIOR,
@@ -187,6 +188,33 @@ def test_shifted_laplacian_solver_matches_lu(n_x, n_y, length, box, dt, d, regio
     assert np.abs(b - a @ x).max() <= 20.0 * np.finfo(float).eps * scale
     x_lu = splu(a.tocsc(), **LU_OPTIONS).solve(b)
     assert np.abs(x - x_lu).max() <= 1e-12 * np.abs(x_lu).max()
+
+
+def test_prey_preconditioner_keeps_the_grids_solvers(monkeypatch):
+    # a nonlinear run builds DCT preconditioners at new means of u from the
+    # grid's transforms: it neither evicts the linear prey's solver nor
+    # rebuilds the predator's capacitance matrix or the transforms
+    from refugebif.model import Diffusion, ModelParams, State
+
+    grid, dt = build_grid(16, refuge_box=REFUGE_BOX), 0.05
+    prey = shifted_laplacian_solver(grid, 1.0 / dt, 1.0)
+    predator = shifted_laplacian_solver(grid, 1.0 / dt, 1.0, Region.EXTERIOR)
+    basis = grid._cache["dct_basis"]
+    built, refreshed = [], []
+    dct = geometry.dct_solver
+    monkeypatch.setattr(geometry, "_build_shifted_laplacian_solver", lambda *a: built.append(a))
+    monkeypatch.setattr(geometry, "_dct_matrix", lambda n: built.append(n))
+    monkeypatch.setattr(timestepping, "dct_solver", lambda *a: refreshed.append(a) or dct(*a))
+    p = ModelParams(lam=1.0, mu=0.4, c=1.0, m=1.0, b=1.0, variant=Diffusion.NONLINEAR)
+    initial = State(
+        ScalarField.constant(grid, 0.5), ScalarField.constant(grid, 0.1, Region.EXTERIOR)
+    )
+    timestepping.evolve_to_steady(p, initial, timestepping.TimeOptions(dt=dt, t_max=20.0))
+    assert len({alpha_d for *_, alpha_d in refreshed}) > 1
+    assert not built
+    assert shifted_laplacian_solver(grid, 1.0 / dt, 1.0) is prey
+    assert shifted_laplacian_solver(grid, 1.0 / dt, 1.0, Region.EXTERIOR) is predator
+    assert grid._cache["dct_basis"] is basis
 
 
 class TestIntegrate:

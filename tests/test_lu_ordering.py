@@ -1,6 +1,7 @@
 """Every sparse LU in the package is one ``splu(a, **LU_OPTIONS)`` on a CSC
 matrix, made by the calling module's own ``splu``, and no LU state is left in
-the grid: it caches operators and the one pattern of J only."""
+the grid: it caches operators, the DCT transforms and the one pattern of J
+only."""
 
 from collections import Counter
 from dataclasses import replace
@@ -10,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from conftest import REFUGE_BOX
+from conftest import REFUGE_BOX, rough_u
 from refugebif import analytics, continuation, newton, timestepping
 from refugebif.geometry import LU_OPTIONS, Region, build_grid
 from refugebif.model import Diffusion, ModelParams, State, jacobian
@@ -51,26 +52,37 @@ def test_every_factorization_uses_the_shared_ordering(recorded, variant):
     # started off the solution, so that newton_solve factors J at least once
     newton.newton_solve(replace(p, mu=0.44), branch.points[-1].state)
     evolve_to_steady(p, branch.points[-1].state, TimeOptions(dt=1e-3, t_max=3e-3))
+    # a rough u, on which CG with the DCT preconditioner is refused
+    timestepping._Stepper(p, grid, 0.05).advance(
+        np.abs(rough_u(grid, 0)), np.full(grid.n_exterior, 0.1)
+    )
     analytics.bifurcation_data(grid, p)
     analytics.v_block_eigenvalue(grid, p, 0.4)
 
     per_module = Counter(name for name, _ in recorded)
     assert all(kwargs == LU_OPTIONS for _, kwargs in recorded)
     assert set(per_module) - {"timestepping"} == {"analytics", "continuation", "newton"}
-    # the first nonlinear step's prey LU, which the other two steps reuse for
-    # CG; the predator and linear prey matrices are never factored, since
+    # the smooth run near the branch solves its prey systems by CG with the
+    # DCT preconditioner, so the one prey LU is the rough step's; the
+    # predator and linear prey matrices are never factored, since
     # geometry.shifted_laplacian_solver solves them
     assert per_module["timestepping"] == (1 if variant is Diffusion.NONLINEAR else 0)
 
 
 def test_refreshed_prey_lu_uses_the_shared_ordering(recorded):
-    # a jump in u leaves the stale LU too far from the prey matrix for CG,
-    # so the step factors it again
     grid = build_grid(16, refuge_box=REFUGE_BOX)
     stepper = timestepping._Stepper(make_params(Diffusion.NONLINEAR), grid, 0.05)
     u, v_ext = np.full(grid.n_cells, 0.8), np.full(grid.n_exterior, 0.1)
+    # a jump to 20 u leaves the kept DCT preconditioner too far for CG, but
+    # the refreshed one, at the new mean of u, is exact for a uniform u
     stepper.advance(u, v_ext)
     stepper.advance(20.0 * u, v_ext)
+    assert not recorded
+    # on a rough u the refreshed DCT is refused too, so the step factors;
+    # on the next rough u the kept LU and the DCT are refused, so it
+    # factors again
+    stepper.advance(np.abs(rough_u(grid, 0)), v_ext)
+    stepper.advance(np.abs(rough_u(grid, 1)), v_ext)
 
     # the first prey LU and the refreshed one
     kinds = [kwargs for name, kwargs in recorded if name == "timestepping"]
@@ -115,11 +127,14 @@ def test_grid_caches_operators_only():
     zeroed = State(replace(last.u, values=u), last.v)
     assert jacobian(p, zeroed).matrix.nnz == jacobian(p, last).matrix.nnz
     newton.newton_solve(replace(p, mu=0.44), zeroed)
-    # the IMEX predator solver is kept per region, an operator and no LU
+    # the IMEX predator solver is kept per region and the DCT transforms once
+    # per grid, operators and no LU; the nonlinear prey's DCT preconditioner
+    # is the stepper's, not the grid's
     assert set(grid._cache) == {
         ("laplacian", Region.ALL),
         ("laplacian", Region.EXTERIOR),
         "exterior_laplacian_block",
         "jacobian_pattern",
+        "dct_basis",
         ("shifted_laplacian_solver", Region.EXTERIOR),
     }

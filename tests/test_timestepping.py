@@ -4,17 +4,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import SuperLU, splu
 
+from conftest import rough_u
 from refugebif import timestepping
 from refugebif.errors import ParameterError
 from refugebif.geometry import (
-    LU_OPTIONS, Region, ScalarField, build_grid, integrate, predation_field, row_sum_norm,
+    LU_OPTIONS, Region, ScalarField, build_grid, dct_solver, integrate, predation_field,
+    row_sum_norm,
 )
 from refugebif.model import (
     Diffusion, ModelParams, State, _holling_denominator, residual, semi_trivial_state,
 )
-from refugebif.timestepping import TimeOptions, _Stepper, _stale_lu_cg, evolve_to_steady, step
+from refugebif.timestepping import (
+    TimeOptions, _preconditioned_cg, _Stepper, evolve_to_steady, step,
+)
 
 BOTH = [Diffusion.NONLINEAR, Diffusion.LINEAR]
 
@@ -30,6 +34,16 @@ def positive_state(grid, u0=0.8, v0=0.1):
         ScalarField.constant(grid, u0),
         ScalarField.constant(grid, v0, Region.EXTERIOR),
     )
+
+
+def direct_prey_solve(stepper, u, rhs):
+    """The reference nonlinear prey solve: a fresh LU of A and a direct solve."""
+    return splu(stepper._prey_matrix(u), **LU_OPTIONS).solve(rhs)
+
+
+def is_lu(solve):
+    """Whether a preconditioner is an LU's solve rather than a DCT solve."""
+    return isinstance(getattr(solve, "__self__", None), SuperLU)
 
 
 class TestOptions:
@@ -206,18 +220,49 @@ class TestEvolveToSteady:
         assert np.array_equal(states[0].u.values, via_step.u.values)
         assert np.array_equal(states[0].v.values, via_step.v.values)
 
+    @pytest.mark.parametrize("rough", [False, True])
+    def test_one_shot_nonlinear_step_factors_only_a_rough_u(
+        self, refuge_grid_16, monkeypatch, rough
+    ):
+        # from a uniform u, step() solves the prey system by CG with the DCT
+        # preconditioner and factors nothing; a random u is too rough for it,
+        # so step() factors.  Either way it is evolve_to_steady's first step
+        # bit for bit.
+        grid, p, dt = refuge_grid_16, make_params(), 0.05
+        init = positive_state(grid, u0=0.5)
+        if rough:
+            u = np.random.default_rng(13).uniform(0.2, 1.5, grid.n_cells)
+            init = State(ScalarField(grid, u), init.v)
+        lus = []
+
+        def counting(a, **kwargs):
+            lus.append(kwargs)
+            return splu(a, **kwargs)
+
+        monkeypatch.setattr(timestepping, "splu", counting)
+        via_step = step(p, init, dt)
+        assert len(lus) == (1 if rough else 0)
+        states = []
+        evolve_to_steady(
+            p, init, TimeOptions(dt=dt, t_max=dt, steady_tol=1e-16, clamp_negative=False),
+            lambda k, t, s, c: states.append(s),
+        )
+        assert np.array_equal(states[0].pack(), via_step.pack())
+
 
 class TestStaleLuSolve:
-    """The nonlinear prey system is solved by CG on the last LU when that
-    reaches the round-off floor of a direct solve, and by a fresh LU if not."""
+    """The nonlinear prey system is solved by CG with the kept preconditioner,
+    a DCT solve or the last LU, when that reaches the round-off floor of a
+    direct solve; by a fresh DCT preconditioner if not, and by a fresh LU if
+    that is refused too."""
 
     @pytest.mark.filterwarnings("ignore:clamped")
     @pytest.mark.parametrize("clamp", [True, False])
     @pytest.mark.parametrize("dt", [1e-3, 0.05])
-    def test_evolve_matches_fresh_lu_steps(self, refuge_grid_16, dt, clamp):
+    def test_evolve_matches_fresh_lu_steps(self, refuge_grid_16, monkeypatch, dt, clamp):
         # a predator surge drives u below 0: clamped, or left negative so that
-        # the prey matrix loses definiteness.  Every step() call builds a new
-        # stepper, so it factors on every step.
+        # the prey matrix loses definiteness.  The reference steps by step()
+        # with a fresh LU and a direct prey solve on every step.
         p = make_params(mu=0.3)
         state = positive_state(refuge_grid_16, u0=0.3, v0=1.5 / dt)
         opts = TimeOptions(dt=dt, t_max=300 * dt, steady_tol=1e-2, clamp_negative=clamp)
@@ -225,6 +270,7 @@ class TestStaleLuSolve:
         final, steady = evolve_to_steady(
             p, state, opts, lambda k, t, s, c: (evolved.append(s.pack()), clamped.append(c))
         )
+        monkeypatch.setattr(_Stepper, "_solve_prey", direct_prey_solve)
         fresh = []
         for _ in evolved:
             new = step(p, state, dt)
@@ -254,11 +300,14 @@ class TestStaleLuSolve:
         assert np.linalg.eigvalsh(stepper._prey_matrix(indefinite).toarray()).min() < 0.0
         for u in (far, indefinite):
             a = stepper._prey_matrix(u)
-            stepper._lu = splu(stepper._prey_matrix(stale), **LU_OPTIONS)
-            x0 = stepper._lu.solve(rhs)
-            assert _stale_lu_cg(a, rhs, stepper._lu, x0, row_sum_norm(a)) is None
+            stepper._precond = splu(stepper._prey_matrix(stale), **LU_OPTIONS).solve
+            x0 = stepper._precond(rhs)
+            assert _preconditioned_cg(a, rhs, stepper._precond, x0, row_sum_norm(a)) is None
+            # the refreshed DCT preconditioner is refused too, so the step
+            # falls back to a direct solve
             fallback = stepper._solve_prey(u, rhs)
             assert np.array_equal(fallback, splu(a, **LU_OPTIONS).solve(rhs))
+            assert is_lu(stepper._precond)
 
     def test_near_matrix_is_accepted_at_the_roundoff_floor(self, refuge_grid_16):
         grid = refuge_grid_16
@@ -267,7 +316,7 @@ class TestStaleLuSolve:
         rhs = u / 0.05
         a = stepper._prey_matrix(u)
         lu = splu(stepper._prey_matrix(1.001 * u), **LU_OPTIONS)
-        x, iters = _stale_lu_cg(a, rhs, lu, lu.solve(rhs), row_sum_norm(a))
+        x, iters = _preconditioned_cg(a, rhs, lu.solve, lu.solve(rhs), row_sum_norm(a))
         assert 0 < iters <= timestepping.REFRESH_ITERS
         direct = splu(a, **LU_OPTIONS).solve(rhs)
         assert np.abs(x - direct).max() <= 1e-13 * np.abs(direct).max()
@@ -280,19 +329,90 @@ class TestStaleLuSolve:
         x0 = lu.solve(rhs)
         start = x0.copy()
 
-        class CountingLu:
-            calls = 0
+        calls = []
 
-            def solve(self, r):
-                self.calls += 1
-                return lu.solve(r)
+        def counting(r):
+            calls.append(1)
+            return lu.solve(r)
 
-        counting = CountingLu()
-        x, iters = _stale_lu_cg(a, rhs, counting, x0, row_sum_norm(a))
-        assert iters == 0 and counting.calls == 0
+        x, iters = _preconditioned_cg(a, rhs, counting, x0, row_sum_norm(a))
+        assert iters == 0 and not calls
         assert x is not x0 and np.array_equal(x, start)
         x[:] = -1.0
         assert np.array_equal(x0, start)
+
+    def test_both_preconditioners_accept_only_at_the_roundoff_floor(
+        self, refuge_grid_16, monkeypatch
+    ):
+        # on a smooth u, CG with the DCT solve at the mean of u and CG with
+        # the LU of a nearby matrix are accepted at the round-off floor of a
+        # direct solve; with the floor set 100 times lower, neither is
+        grid, dt = refuge_grid_16, 0.05
+        stepper = _Stepper(make_params(), grid, dt)
+        u = 0.8 + 0.02 * np.cos(2 * np.pi * grid.cell_x) * np.cos(np.pi * grid.cell_y)
+        rhs = np.random.default_rng(14).standard_normal(grid.n_cells)
+        a = stepper._prey_matrix(u)
+        a_norm = row_sum_norm(a)
+        direct = splu(a, **LU_OPTIONS).solve(rhs)
+        preconditioners = (
+            dct_solver(grid, 1.0 / dt, u.mean()),
+            splu(stepper._prey_matrix(1.001 * u), **LU_OPTIONS).solve,
+        )
+        eps = np.finfo(float).eps
+        for solve in preconditioners:
+            x, iters = _preconditioned_cg(a, rhs, solve, u, a_norm)
+            assert iters > 0
+            floor = 10.0 * eps * (a_norm * np.abs(x).max() + np.abs(rhs).max())
+            assert np.abs(rhs - a @ x).max() <= floor
+            assert np.abs(x - direct).max() <= 1e-13 * np.abs(direct).max()
+        monkeypatch.setattr(timestepping, "ROUNDOFF_FACTOR", 0.1)
+        for solve in preconditioners:
+            assert _preconditioned_cg(a, rhs, solve, u, a_norm) is None
+
+    @pytest.mark.filterwarnings("ignore:clamped")
+    @pytest.mark.parametrize("mu,t_max", [(0.4, 500.0), (0.02, 50.0)])
+    def test_evolve_matches_a_direct_solve_on_every_step(
+        self, refuge_grid_16, monkeypatch, mu, t_max
+    ):
+        # mu = 0.4 stays smooth and runs on the DCT preconditioner alone;
+        # at mu = 0.02 the predators drive the exterior prey into the dead
+        # zone, where u is too rough for it and the stepper keeps an LU
+        grid = refuge_grid_16
+        p = make_params(mu=mu)
+        opts = TimeOptions(dt=0.05, t_max=t_max, steady_tol=1e-6)
+        lus, on_lu = [], []
+        cg = timestepping._preconditioned_cg
+
+        def counting_splu(a, **kwargs):
+            lus.append(kwargs)
+            return splu(a, **kwargs)
+
+        def counting_cg(a, b, solve, *args):
+            solved = cg(a, b, solve, *args)
+            on_lu.append(is_lu(solve) and solved is not None)
+            return solved
+
+        def run():
+            states = []
+            _, steady = evolve_to_steady(
+                p, positive_state(grid, u0=0.5, v0=0.1), opts,
+                lambda k, t, s, c: states.append(s.pack()),
+            )
+            return states, steady
+
+        monkeypatch.setattr(timestepping, "splu", counting_splu)
+        monkeypatch.setattr(timestepping, "_preconditioned_cg", counting_cg)
+        evolved, steady = run()
+        monkeypatch.setattr(_Stepper, "_solve_prey", direct_prey_solve)
+        direct, direct_steady = run()
+        assert len(evolved) == len(direct) and steady == direct_steady
+        for a, b in zip(evolved, direct):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        if mu == 0.4:
+            assert steady and not lus
+        else:
+            # fewer LUs than steps, and CG on a kept LU accepted on some steps
+            assert 0 < len(lus) < len(evolved) and sum(on_lu) > len(lus)
 
     @pytest.mark.parametrize("variant", BOTH)
     def test_evolve_releases_the_kept_lu(self, refuge_grid_16, monkeypatch, variant):
@@ -382,14 +502,6 @@ class TestPreyMatrix:
         )
         return sp.csc_matrix((data, lap.indices, lap.indptr), shape=(n, n))
 
-    @staticmethod
-    def rough_u(grid, seed):
-        """Prey values over many scales, with zeros and negatives."""
-        rng = np.random.default_rng(seed)
-        u = rng.uniform(-1.0, 2.0, grid.n_cells) * np.exp(rng.uniform(-5.0, 5.0, grid.n_cells))
-        u[rng.random(grid.n_cells) < 0.3] = 0.0
-        return u
-
     @pytest.fixture(params=["refuge_16", "wide_32x16"])
     def grid(self, request, refuge_grid_16):
         # n_x != n_y catches a swapped offset
@@ -405,7 +517,7 @@ class TestPreyMatrix:
         # and the first row, whose columns store fewer entries, and interior
         n_x, n = grid.n_x, grid.n_cells
         for seed, hot in enumerate([None, 0, 1, n_x - 1, n_x, n_x + 1, n // 2, n - 1] * 6):
-            u = self.rough_u(grid, seed)
+            u = rough_u(grid, seed)
             if hot is not None:
                 u[hot] = 1e6 * rng.uniform(1.0, 2.0)
             ref = self.bincount_build(grid, u, dt)
@@ -417,32 +529,37 @@ class TestPreyMatrix:
             assert a_norm == row_sum_norm(ref)
 
     def test_factored_matrix_keeps_the_laplacian_pattern(self, grid, monkeypatch):
-        # the first step, a refresh after a slow CG and a fall-back on an
-        # indefinite matrix each hand splu the CSC matrix with explicit zeros
+        # the first step on a rough u, the refresh after a slow CG on its LU
+        # and a fall-back on an indefinite matrix each refuse the DCT
+        # preconditioner and hand splu the CSC matrix with explicit zeros
         from refugebif.geometry import neumann_laplacian
 
-        factored, iters = [], []
-        cg = timestepping._stale_lu_cg
+        factored, attempts = [], []
+        cg = timestepping._preconditioned_cg
 
         def recording(a, **kwargs):
             factored.append(a)
             return splu(a, **kwargs)
 
-        def counting(*args):
-            solved = cg(*args)
-            iters.append(None if solved is None else solved[1])
+        def counting(a, b, solve, *args):
+            solved = cg(a, b, solve, *args)
+            attempts.append(("lu" if is_lu(solve) else "dct", solved and solved[1]))
             return solved
 
         monkeypatch.setattr(timestepping, "splu", recording)
-        monkeypatch.setattr(timestepping, "_stale_lu_cg", counting)
+        monkeypatch.setattr(timestepping, "_preconditioned_cg", counting)
         stepper = _Stepper(make_params(), grid, 0.05)
         lap = neumann_laplacian(grid, Region.ALL).matrix
         rhs = np.random.default_rng(12).standard_normal(grid.n_cells)
-        u = np.abs(self.rough_u(grid, 0))
-        frozen = [u, 1.1 * u, self.rough_u(grid, 2)]
-        for u in frozen:
-            stepper._solve_prey(u, rhs)
-        assert iters[0] > timestepping.REFRESH_ITERS and iters[1] is None
+        u = np.abs(rough_u(grid, 0))
+        for frozen in (u, 1.1 * u, 1.2 * u, rough_u(grid, 2)):
+            stepper._solve_prey(frozen, rhs)
+        slow = attempts[1][1]
+        assert slow > timestepping.REFRESH_ITERS
+        assert attempts == [
+            ("dct", None), ("lu", slow), ("dct", None), ("lu", None), ("dct", None)
+        ]
+        frozen = [u, 1.2 * u, rough_u(grid, 2)]
         assert len(factored) == len(frozen)
         for a, u in zip(factored, frozen):
             ref = self.bincount_build(grid, u, 0.05)
@@ -466,19 +583,19 @@ class TestPreyMatrix:
 
         on_diagonals = run()
         frozen, products = [], []
-        write, cg = _Stepper._write_diagonals, timestepping._stale_lu_cg
+        write, cg = _Stepper._write_diagonals, timestepping._preconditioned_cg
 
         def recording(self, u):
             frozen.append(u)
             write(self, u)
 
-        def on_csc(a, b, lu, x0, a_norm):
+        def on_csc(a, b, solve, x0, a_norm):
             csc = self.bincount_build(grid, frozen[-1], dt)
             products.append(1)
-            return cg(csc, b, lu, x0, row_sum_norm(csc))
+            return cg(csc, b, solve, x0, row_sum_norm(csc))
 
         monkeypatch.setattr(_Stepper, "_write_diagonals", recording)
-        monkeypatch.setattr(timestepping, "_stale_lu_cg", on_csc)
+        monkeypatch.setattr(timestepping, "_preconditioned_cg", on_csc)
         on_csc_matrix = run()
         assert on_diagonals[1] and len(products) >= on_diagonals[2] - 20
         assert on_diagonals[1:] == on_csc_matrix[1:]
