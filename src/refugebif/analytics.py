@@ -29,10 +29,10 @@ from .geometry import (
     Grid,
     Region,
     ScalarField,
+    dct_solver,
     exterior_connected,
     exterior_laplacian_block,
     integrate,
-    neumann_laplacian,
     predation_field,
 )
 from .model import Diffusion, ModelParams
@@ -54,7 +54,9 @@ def bifurcation_point(params: ModelParams) -> float:
 
 
 def kernel_profile(grid: Grid, params: ModelParams) -> ScalarField:
-    """Spatial prey-depletion shape of the first-order branch (strictly positive)."""
+    """Spatial prey-depletion shape of the first-order branch (strictly
+    positive); the Helmholtz problem is solved on the whole rectangle by the
+    DCT (geometry.dct_solver)."""
     bf = predation_field(grid, params.b).values
     if params.variant is Diffusion.NONLINEAR:
         shift = 1.0
@@ -62,15 +64,7 @@ def kernel_profile(grid: Grid, params: ModelParams) -> ScalarField:
     else:
         shift = params.lam
         rhs = bf * params.lam / (1.0 + params.m * params.lam)
-    lap = neumann_laplacian(grid, Region.ALL).matrix
-    helmholtz = (shift * sp.identity(grid.n_cells, format="csr") - lap).tocsc()
-    try:
-        vals = splu(helmholtz, **LU_OPTIONS).solve(rhs)
-    except RuntimeError as exc:
-        norm = sp.linalg.norm(helmholtz, 1)
-        raise NumericalError(
-            f"Helmholtz solve failed (shift={shift}, matrix 1-norm {norm:.3e}): {exc}"
-        ) from exc
+    vals = dct_solver(grid, shift, 1.0)(rhs)
     if vals.min() <= 0.0:
         raise NumericalError("kernel profile lost positivity; discretization broken")
     return ScalarField(grid, vals, Region.ALL)

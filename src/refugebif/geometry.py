@@ -303,6 +303,19 @@ def _dct_matrix(n: int) -> np.ndarray:
     return c
 
 
+def _dct_basis(grid: Grid):
+    """(C_x, C_y, eig_x, eig_y): the DCT-II matrices of each axis and the 1-D
+    eigenvalues of -L along it, kept by the grid."""
+    basis = grid._cache.get("dct_basis")
+    if basis is None:
+        n_x, n_y = grid.n_x, grid.n_y
+        (_, _, wx), (_, _, wy) = _interior_faces(grid, Region.ALL)
+        eig_x = 4.0 * wx * np.sin(0.5 * np.pi / n_x * np.arange(n_x)) ** 2
+        eig_y = 4.0 * wy * np.sin(0.5 * np.pi / n_y * np.arange(n_y)) ** 2
+        basis = grid._cache["dct_basis"] = (_dct_matrix(n_x), _dct_matrix(n_y), eig_x, eig_y)
+    return basis
+
+
 def dct_solver(grid: Grid, alpha: float, d: float):
     """``solve(b)`` for ``(alpha I - d L) x = b`` on the whole rectangle, by
     the orthonormal DCT-II in each axis, which diagonalises L: four small
@@ -310,13 +323,7 @@ def dct_solver(grid: Grid, alpha: float, d: float):
     matrices and the 1-D eigenvalues, so a solver for a new (alpha, d) costs
     one array of eigenvalues; the solver itself is not kept."""
     n_x, n_y = grid.n_x, grid.n_y
-    basis = grid._cache.get("dct_basis")
-    if basis is None:
-        (_, _, wx), (_, _, wy) = _interior_faces(grid, Region.ALL)
-        eig_x = 4.0 * wx * np.sin(0.5 * np.pi / n_x * np.arange(n_x)) ** 2
-        eig_y = 4.0 * wy * np.sin(0.5 * np.pi / n_y * np.arange(n_y)) ** 2
-        basis = grid._cache["dct_basis"] = (_dct_matrix(n_x), _dct_matrix(n_y), eig_x, eig_y)
-    c_x, c_y, eig_x, eig_y = basis
+    c_x, c_y, eig_x, eig_y = _dct_basis(grid)
     inv_eig = 1.0 / (alpha + d * (eig_y[:, None] + eig_x[None, :]))
 
     def solve(b):
@@ -327,17 +334,22 @@ def dct_solver(grid: Grid, alpha: float, d: float):
 
 
 def shifted_laplacian_solver(grid: Grid, alpha: float, d: float, region: Region = Region.ALL):
-    """``solve(b)`` for ``(alpha I - d L) x = b`` on the packed unknowns of
-    ``region`` (L its Neumann Laplacian; alpha, d > 0), kept by the grid.
+    """``solve(b)`` for ``(alpha I - d L) x = b``, L the Neumann Laplacian of
+    ``region`` (alpha, d > 0), on full-grid arrays; kept by the grid.
 
     On the whole rectangle this is ``dct_solver``.  The EXTERIOR operator is
     the same matrix M = alpha I - d L with the k faces cut by the refuge
     taken out, M' = M - B D B^T, where B holds e_p - e_q per cut face and
-    D = diag(d w_f).  M' splits into the exterior block and a refuge block,
-    so its solve with b = 0 on the refuge is the exterior solve.  By
-    Woodbury it costs two solves with M and a product with the k x k
-    capacitance matrix (D^-1 - B^T M^-1 B)^-1, built once from k solves with
-    M (Buzbee, Dorr, George & Golub 1971; Proskurowski & Widlund 1976).
+    D = diag(d w).  M' splits into the exterior block and a refuge block,
+    so its solve with b = 0 on the refuge is the exterior solve; the
+    returned x is set to exactly 0 there.  By Woodbury,
+    x = M^-1 (b + B s) with s = Cap B^T M^-1 b and the k x k capacitance
+    matrix Cap = (D^-1 - B^T M^-1 B)^-1 (Buzbee, Dorr, George & Golub 1971;
+    Proskurowski & Widlund 1976).  The correction is applied in transform
+    space: b is transformed once, B^T M^-1 b is read off the transform by
+    thin products with the DCT columns of the rows and columns the cut
+    faces occupy, B s is added to the transform by the same thin products,
+    and one inverse transform gives x.
     """
     key = ("shifted_laplacian_solver", region)
     if grid._cache.get(key, (None, None))[:2] != (alpha, d):
@@ -346,35 +358,64 @@ def shifted_laplacian_solver(grid: Grid, alpha: float, d: float, region: Region 
 
 
 def _build_shifted_laplacian_solver(grid: Grid, alpha: float, d: float, region: Region):
-    solve_all = dct_solver(grid, alpha, d)
-    if region is Region.ALL:
-        return solve_all
-
     (px, qx, wx), (py, qy, wy) = _interior_faces(grid, Region.ALL)
     ext = grid.cell_region == EXTERIOR
-    p, q = np.concatenate([px, py]), np.concatenate([qx, qy])
-    w = np.concatenate([np.full(px.size, wx), np.full(py.size, wy)])
-    cut = ext[p] != ext[q]
-    p, q, w = p[cut], q[cut], w[cut]
-    # B^T M^-1 B, one column per solve, so that no k x n_cells array is made
-    gram = np.empty((p.size, p.size))
-    e = np.zeros(grid.n_cells)
-    for f in range(p.size):
-        e[p[f]], e[q[f]] = 1.0, -1.0
-        y = solve_all(e)
-        gram[:, f] = y[p] - y[q]
-        e[p[f]] = e[q[f]] = 0.0
-    cap = np.linalg.inv(np.diag(1.0 / (d * w)) - gram)
-    cells = grid.exterior_cells
+    cut_x, cut_y = ext[px] != ext[qx], ext[py] != ext[qy]
+    if region is Region.ALL or not (cut_x.any() or cut_y.any()):
+        return dct_solver(grid, alpha, d)
+
+    n_x, n_y = grid.n_x, grid.n_y
+    c_x, c_y, eig_x, eig_y = _dct_basis(grid)
+    inv_eig = 1.0 / (alpha + d * (eig_y[:, None] + eig_x[None, :]))
+    # A cut x-face joins cells (j, i) and (j, i + 1), so its entry of B^T x,
+    # x = C_y^T X C_x, is C_y[:, j]^T X (C_x[:, i] - C_x[:, i + 1]); a y-face
+    # joins (j, i) and (j + 1, i).  Each kind is read off X as one block over
+    # its faces' rows and columns.  Block entries that are not cut faces (none
+    # for a rectangular refuge) get zero rows and columns in Cap, so s is 0
+    # there.
+    def block(p):
+        """The rows and columns of the cells p, and the slot of each cell
+        in the (rows x columns) block, row-major."""
+        rows, row_at = np.unique(p // n_x, return_inverse=True)
+        cols, col_at = np.unique(p % n_x, return_inverse=True)
+        return rows, cols, row_at * cols.size + col_at
+
+    rows, cols, at_x = block(px[cut_x])
+    left_x, diff_x = c_y[:, rows], c_x[:, cols] - c_x[:, cols + 1]
+    shape_x, size_x = (rows.size, cols.size), rows.size * cols.size
+    rows, cols, at_y = block(py[cut_y])
+    diff_y, right_y = c_y[:, rows] - c_y[:, rows + 1], c_x[:, cols]
+    shape_y, size_y = (rows.size, cols.size), rows.size * cols.size
+
+    def gather(x_hat):
+        """B^T x for x = C_y^T x_hat C_x, over the block entries."""
+        on_x = left_x.T @ (x_hat @ diff_x)
+        return np.concatenate([on_x.ravel(), (diff_y.T @ x_hat @ right_y).ravel()])
+
+    def scatter(s):
+        """C_y (B s) C_x^T for s over the block entries."""
+        s_x, s_y = s[:size_x].reshape(shape_x), s[size_x:].reshape(shape_y)
+        return left_x @ s_x @ diff_x.T + diff_y @ (s_y @ right_y.T)
+
+    at = np.concatenate([at_x, size_x + at_y])
+    w = np.concatenate([np.full(at_x.size, wx), np.full(at_y.size, wy)])
+    # B^T M^-1 B, one column per face, so that no k x n_cells array is made
+    gram = np.empty((at.size, at.size))
+    e = np.zeros(size_x + size_y)
+    for f, slot in enumerate(at):
+        e[slot] = 1.0
+        gram[:, f] = gather(inv_eig * scatter(e))[at]
+        e[slot] = 0.0
+    cap = np.zeros((e.size, e.size))
+    cap[np.ix_(at, at)] = np.linalg.inv(np.diag(1.0 / (d * w)) - gram)
+    refuge = grid.refuge_mask
 
     def solve_exterior(b):
-        full = np.zeros(grid.n_cells)
-        full[cells] = b
-        y = solve_all(full)
-        s = cap @ (y[p] - y[q])
-        np.add.at(full, p, s)
-        np.subtract.at(full, q, s)
-        return solve_all(full)[cells]
+        x_hat = (c_y @ b.reshape(n_y, n_x) @ c_x.T) * inv_eig
+        x_hat += inv_eig * scatter(cap @ gather(x_hat))
+        x = (c_y.T @ x_hat @ c_x).ravel()
+        x[refuge] = 0.0
+        return x
 
     return solve_exterior
 

@@ -4,12 +4,15 @@ Diffusion is implicit with coefficients frozen at the current step (prey
 flux div(u^n grad u^{n+1}), predator d * L v^{n+1}); the reaction terms
 stay explicit.  Fixed points of one step are exactly the
 discrete steady states of the model residual, independent of dt.
+The stepper works on full-grid arrays, u and v, with v zero on the refuge
+as in State; nothing is gathered or scattered per step.
 
 The linear variant's prey matrix I/dt - L and the predator matrix
 I/dt - d L_ext are constant, and neither is factored:
 geometry.shifted_laplacian_solver solves the first by a DCT-II transform,
-which diagonalises it, and the second by the same transform corrected on
-the faces cut by the refuge through a capacitance matrix (kept by the grid).
+which diagonalises it, and the second by the same transform with a
+capacitance-matrix correction for the faces cut by the refuge, applied in
+transform space (kept by the grid).
 The nonlinear prey matrix A = I/dt - div(ubar grad .) changes every step
 but slowly, since u moves by O(dt); it is kept as five diagonals rewritten
 in place.  Each step solves A x = b by conjugate gradients with a kept
@@ -22,15 +25,16 @@ stepper's first step, first builds the DCT solve of I/dt - mean(u) L
 (Concus & Golub 1973).  Only when CG with that fresh preconditioner needs
 more than REFRESH_ITERS iterations, or is refused, is A built in CSC form
 and factored, and its LU kept in its place; the next refresh tries the DCT
-again.  A solve with a kept preconditioner that needed more than
-REFRESH_ITERS iterations is accepted and the next step refreshes.  With no
-acceptance within MAX_CG_ITERS, or a curvature p.Ap that is not positive
-and finite (unclamped, A can be indefinite), the step refreshes at once,
-and if the fresh DCT is refused too, falls back to the LU of A and a
-direct solve.  evolve_to_steady drops the preconditioner before it returns
-and gives the free heap pages of the factors it dropped back
-(geometry.release_free_memory), so that they do not add to the caller's
-next allocations.
+again.  Since the LU is factored either way, that CG stops after
+REFRESH_ITERS + 1 iterations.  A solve with a kept preconditioner that
+needed more than REFRESH_ITERS iterations is accepted and the next step
+refreshes.  With no acceptance within MAX_CG_ITERS, or a curvature p.Ap
+that is not positive and finite (unclamped, A can be indefinite), the step
+refreshes at once, and if the fresh DCT is refused too, falls back to the
+LU of A and a direct solve.  evolve_to_steady drops the preconditioner
+before it returns and gives the free heap pages of the factors it dropped
+back (geometry.release_free_memory), so that they do not add to the
+caller's next allocations.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import ParameterError, StepError
 from .geometry import (
-    LU_OPTIONS, ROUNDOFF_FACTOR, Grid, Region, _interior_faces, dct_solver, neumann_laplacian,
-    release_free_memory, shifted_laplacian_solver,
+    LU_OPTIONS, ROUNDOFF_FACTOR, Grid, Region, ScalarField, _interior_faces, dct_solver,
+    neumann_laplacian, release_free_memory, shifted_laplacian_solver,
 )
 from .model import Diffusion, ModelParams, State, _holling_denominator
 
@@ -73,7 +77,8 @@ class TimeOptions:
             raise ParameterError("dt, t_max and steady_tol must be finite")
 
 
-def _preconditioned_cg(a, b: np.ndarray, solve, x0: np.ndarray, a_norm: float):
+def _preconditioned_cg(a, b: np.ndarray, solve, x0: np.ndarray, a_norm: float,
+                       max_iters: int = MAX_CG_ITERS):
     """Solve the symmetric system ``a x = b`` by CG preconditioned with
     ``solve``, an approximate inverse of ``a`` (the DCT solve of a constant
     coefficient matrix, or the LU solve of a nearby one), from the start
@@ -81,18 +86,18 @@ def _preconditioned_cg(a, b: np.ndarray, solve, x0: np.ndarray, a_norm: float):
 
     Returns ``(x, k)`` for the first iterate whose true residual is within
     ROUNDOFF_FACTOR * eps * (|a| |x| + |b|) in the max-norm, or None if none
-    is within MAX_CG_ITERS or a curvature p.Ap (or r.z) is not positive and
+    is within ``max_iters`` or a curvature p.Ap (or r.z) is not positive and
     finite.  ``k`` counts both the iterations and the ``solve`` calls (0
     when ``x0`` already passes); ``x`` is never ``x0`` itself.
     """
     b_norm = np.abs(b).max()
     scale = ROUNDOFF_FACTOR * np.finfo(float).eps
     x = x0.copy()
-    for k in range(MAX_CG_ITERS + 1):
+    for k in range(max_iters + 1):
         r = b - a @ x
         if np.abs(r).max() <= scale * (a_norm * np.abs(x).max() + b_norm):
             return x, k
-        if k == MAX_CG_ITERS:
+        if k == max_iters:
             return None
         z = solve(r)
         rz = r @ z
@@ -112,7 +117,6 @@ class _Stepper:
         self.params = params
         self.grid = grid
         self.dt = dt
-        self.ext = grid.exterior_cells
         self._precond = None  # solve() of the kept prey preconditioner (nonlinear)
         self.pred_solve = shifted_laplacian_solver(grid, 1.0 / dt, params.d, Region.EXTERIOR)
         if params.variant is Diffusion.LINEAR:
@@ -170,9 +174,10 @@ class _Stepper:
                 if solved[1] > REFRESH_ITERS:
                     self._precond = None
                 return solved[0]
-        # the DCT replaces an old factor first, so that two are never alive at once
+        # the DCT replaces an old factor first, so that two are never alive at
+        # once; past REFRESH_ITERS + 1 iterations the LU is factored anyway
         self._precond = dct_solver(self.grid, 1.0 / self.dt, max(float(u.mean()), 0.0))
-        solved = _preconditioned_cg(self._a, rhs, self._precond, x0, a_norm)
+        solved = _preconditioned_cg(self._a, rhs, self._precond, x0, a_norm, REFRESH_ITERS + 1)
         if solved is not None and solved[1] <= REFRESH_ITERS:
             return solved[0]
         self._precond = splu(self._prey_matrix(u), **LU_OPTIONS).solve
@@ -185,15 +190,13 @@ class _Stepper:
             self._precond = None
             release_free_memory()
 
-    def advance(self, u: np.ndarray, v_ext: np.ndarray):
-        """One IMEX step on raw arrays; returns (u_new, v_ext_new)."""
-        params, dt, ext = self.params, self.dt, self.ext
-        den = _holling_denominator(params, u)
-        u_ext, den_ext = u[ext], den[ext]
-        # predation is 0 on refuge cells, where b is 0 and v is 0
-        prey_reaction = params.lam * u - u * u
-        prey_reaction[ext] -= params.b * u_ext * v_ext / den_ext
-        rhs = u / dt + prey_reaction
+    def advance(self, u: np.ndarray, v: np.ndarray):
+        """One IMEX step on full-grid arrays, v zero on the refuge (so that
+        predation vanishes there, as b does); returns (u_new, v_new)."""
+        params, dt = self.params, self.dt
+        v_den = v / _holling_denominator(params, u)
+        # u/dt + lam u - u^2 - b u v / den
+        rhs = u * ((1.0 / dt + params.lam) - u - params.b * v_den)
         if self.prey_solve is not None:
             u_new = self.prey_solve(rhs)
         else:
@@ -201,9 +204,13 @@ class _Stepper:
                 u_new = self._solve_prey(u, rhs)
             except RuntimeError as exc:
                 raise StepError(f"implicit diffusion solve failed: {exc}") from exc
-        pred_reaction = -params.mu * v_ext + params.c * u_ext * v_ext / den_ext
-        v_new = self.pred_solve(v_ext / dt + pred_reaction)
+        # v/dt - mu v + c u v / den
+        v_new = self.pred_solve((1.0 / dt - params.mu) * v + params.c * (u * v_den))
         return u_new, v_new
+
+
+def _state(grid: Grid, u: np.ndarray, v: np.ndarray) -> State:
+    return State(ScalarField(grid, u, Region.ALL), ScalarField(grid, v, Region.EXTERIOR))
 
 
 def step(params: ModelParams, state: State, dt: float) -> State:
@@ -211,10 +218,8 @@ def step(params: ModelParams, state: State, dt: float) -> State:
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ParameterError("dt must be positive and finite")
     grid = state.grid
-    u_new, v_new = _Stepper(params, grid, dt).advance(
-        state.u.values, state.v.values[grid.exterior_cells]
-    )
-    return State.unpack(grid, np.concatenate([u_new, v_new]))
+    u_new, v_new = _Stepper(params, grid, dt).advance(state.u.values, state.v.values)
+    return _state(grid, u_new, v_new)
 
 
 def evolve_to_steady(
@@ -233,8 +238,7 @@ def evolve_to_steady(
     opts = opts or TimeOptions()
     grid = initial.grid
     stepper = _Stepper(params, grid, opts.dt)
-    u = initial.u.values.copy()
-    v_ext = initial.v.values[grid.exterior_cells].copy()
+    u, v = initial.u.values, initial.v.values
 
     n_steps = int(np.floor(opts.t_max / opts.dt + 1e-12))
     n_slots = grid.n_cells + grid.n_exterior
@@ -242,23 +246,22 @@ def evolve_to_steady(
     steady = False
     t = 0.0
     for k in range(1, n_steps + 1):
-        u_new, v_new = stepper.advance(u, v_ext)
+        u_new, v_new = stepper.advance(u, v)
         clamped = 0
-        if opts.clamp_negative:
+        if opts.clamp_negative and min(u_new.min(), v_new.min()) < 0.0:
             clamped = int((u_new < 0.0).sum() + (v_new < 0.0).sum())
-            if clamped:
-                np.maximum(u_new, 0.0, out=u_new)
-                np.maximum(v_new, 0.0, out=v_new)
+            np.maximum(u_new, 0.0, out=u_new)
+            np.maximum(v_new, 0.0, out=v_new)
         clamped_total += clamped
         t = k * opts.dt
 
         change = max(
             float(np.abs(u_new - u).max()),
-            float(np.abs(v_new - v_ext).max(initial=0.0)),
+            float(np.abs(v_new - v).max()),
         ) / opts.dt
-        u, v_ext = u_new, v_new
+        u, v = u_new, v_new
         if observer is not None:
-            observer(k, t, State.unpack(grid, np.concatenate([u, v_ext])), clamped)
+            observer(k, t, _state(grid, u, v), clamped)
         if change < opts.steady_tol:
             steady = True
             break
@@ -272,4 +275,4 @@ def evolve_to_steady(
             RuntimeWarning,
             stacklevel=2,
         )
-    return State.unpack(grid, np.concatenate([u, v_ext])), steady
+    return _state(grid, u, v), steady

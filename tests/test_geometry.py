@@ -23,7 +23,7 @@ from refugebif.geometry import (
     shifted_laplacian_solver,
 )
 
-from conftest import REFUGE_BOX, disconnected_grid
+from conftest import REFUGE_BOX, disconnected_grid, grid_with_regions
 
 
 class TestBuildGrid:
@@ -169,7 +169,7 @@ class TestExteriorLaplacian:
 
 @pytest.mark.parametrize(
     "n_x,n_y,length",
-    [(16, 16, (1.0, 1.0)), (24, 24, (1.0, 1.0)), (32, 16, (2.0, 1.0))],
+    [(16, 16, (1.0, 1.0)), (24, 24, (1.0, 1.0)), (32, 16, (2.0, 1.0)), (32, 16, (1.0, 1.0))],
 )
 @pytest.mark.parametrize("box", [None, REFUGE_BOX, (0.125, 0.25, 0.5, 0.75)])
 @pytest.mark.parametrize("dt", [1e-3, 0.05])
@@ -177,17 +177,46 @@ class TestExteriorLaplacian:
 @pytest.mark.parametrize("region", [Region.ALL, Region.EXTERIOR])
 def test_shifted_laplacian_solver_matches_lu(n_x, n_y, length, box, dt, d, region):
     # the residual is taken against the assembled matrix, so a geometry that
-    # the transform no longer diagonalises fails here
+    # the transform no longer diagonalises fails here; the solver works on
+    # full-grid arrays, and the EXTERIOR one returns exact zeros on the refuge
     grid = build_grid(n_x, n_y, domain_length=length, refuge_box=box)
-    lap = (neumann_laplacian(grid, Region.ALL).matrix if region is Region.ALL
-           else exterior_laplacian_block(grid))
+    if region is Region.ALL:
+        lap, cells = neumann_laplacian(grid, Region.ALL).matrix, np.arange(grid.n_cells)
+    else:
+        lap, cells = exterior_laplacian_block(grid), grid.exterior_cells
     a = (sp.identity(lap.shape[0], format="csr") / dt - d * lap).tocsr()
-    b = np.random.default_rng(n_x + n_y).standard_normal(lap.shape[0])
-    x = shifted_laplacian_solver(grid, 1.0 / dt, d, region)(b)
+    full = np.zeros(grid.n_cells)
+    full[cells] = np.random.default_rng(n_x + n_y).standard_normal(lap.shape[0])
+    x_full = shifted_laplacian_solver(grid, 1.0 / dt, d, region)(full)
+    assert x_full.shape == (grid.n_cells,)
+    if region is Region.EXTERIOR:
+        assert np.all(x_full[grid.refuge_mask] == 0.0)
+    b, x = full[cells], x_full[cells]
     scale = row_sum_norm(a) * np.abs(x).max() + np.abs(b).max()
     assert np.abs(b - a @ x).max() <= 20.0 * np.finfo(float).eps * scale
     x_lu = splu(a.tocsc(), **LU_OPTIONS).solve(b)
     assert np.abs(x - x_lu).max() <= 1e-12 * np.abs(x_lu).max()
+
+
+def l_shaped_grid(n=12):
+    """An L-shaped refuge: its cut faces leave gaps in their rows x columns blocks."""
+    region = np.full((n, n), EXTERIOR, dtype=np.int8)
+    region[3:9, 3:5] = REFUGE
+    region[7:9, 5:9] = REFUGE
+    return grid_with_regions(n, region)
+
+
+@pytest.mark.parametrize("make_grid", [l_shaped_grid, disconnected_grid])
+def test_exterior_solver_on_a_refuge_that_is_not_a_box(make_grid):
+    grid, dt, d = make_grid(), 0.05, 0.7
+    block = exterior_laplacian_block(grid)
+    a = (sp.identity(block.shape[0], format="csr") / dt - d * block).tocsc()
+    full = np.zeros(grid.n_cells)
+    full[grid.exterior_cells] = np.random.default_rng(3).standard_normal(grid.n_exterior)
+    x = shifted_laplacian_solver(grid, 1.0 / dt, d, Region.EXTERIOR)(full)
+    x_lu = splu(a, **LU_OPTIONS).solve(full[grid.exterior_cells])
+    assert np.abs(x[grid.exterior_cells] - x_lu).max() <= 1e-12 * np.abs(x_lu).max()
+    assert np.all(x[grid.refuge_mask] == 0.0)
 
 
 def test_prey_preconditioner_keeps_the_grids_solvers(monkeypatch):

@@ -13,7 +13,7 @@ from scipy.sparse.linalg import splu
 
 from conftest import REFUGE_BOX, rough_u
 from refugebif import analytics, continuation, newton, timestepping
-from refugebif.geometry import LU_OPTIONS, Region, build_grid
+from refugebif.geometry import LU_OPTIONS, Region, ScalarField, build_grid
 from refugebif.model import Diffusion, ModelParams, State, jacobian
 from refugebif.timestepping import TimeOptions, evolve_to_steady
 
@@ -54,7 +54,7 @@ def test_every_factorization_uses_the_shared_ordering(recorded, variant):
     evolve_to_steady(p, branch.points[-1].state, TimeOptions(dt=1e-3, t_max=3e-3))
     # a rough u, on which CG with the DCT preconditioner is refused
     timestepping._Stepper(p, grid, 0.05).advance(
-        np.abs(rough_u(grid, 0)), np.full(grid.n_exterior, 0.1)
+        np.abs(rough_u(grid, 0)), ScalarField.constant(grid, 0.1, Region.EXTERIOR).values
     )
     analytics.bifurcation_data(grid, p)
     analytics.v_block_eigenvalue(grid, p, 0.4)
@@ -72,17 +72,17 @@ def test_every_factorization_uses_the_shared_ordering(recorded, variant):
 def test_refreshed_prey_lu_uses_the_shared_ordering(recorded):
     grid = build_grid(16, refuge_box=REFUGE_BOX)
     stepper = timestepping._Stepper(make_params(Diffusion.NONLINEAR), grid, 0.05)
-    u, v_ext = np.full(grid.n_cells, 0.8), np.full(grid.n_exterior, 0.1)
+    u, v = np.full(grid.n_cells, 0.8), ScalarField.constant(grid, 0.1, Region.EXTERIOR).values
     # a jump to 20 u leaves the kept DCT preconditioner too far for CG, but
     # the refreshed one, at the new mean of u, is exact for a uniform u
-    stepper.advance(u, v_ext)
-    stepper.advance(20.0 * u, v_ext)
+    stepper.advance(u, v)
+    stepper.advance(20.0 * u, v)
     assert not recorded
     # on a rough u the refreshed DCT is refused too, so the step factors;
     # on the next rough u the kept LU and the DCT are refused, so it
     # factors again
-    stepper.advance(np.abs(rough_u(grid, 0)), v_ext)
-    stepper.advance(np.abs(rough_u(grid, 1)), v_ext)
+    stepper.advance(np.abs(rough_u(grid, 0)), v)
+    stepper.advance(np.abs(rough_u(grid, 1)), v)
 
     # the first prey LU and the refreshed one
     kinds = [kwargs for name, kwargs in recorded if name == "timestepping"]

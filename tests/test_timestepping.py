@@ -4,14 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import SuperLU, splu
+import scipy.sparse as sp
+from scipy.sparse.linalg import SuperLU, spsolve, splu
 
-from conftest import rough_u
+from conftest import random_state, rough_u
 from refugebif import timestepping
 from refugebif.errors import ParameterError
 from refugebif.geometry import (
-    LU_OPTIONS, Region, ScalarField, build_grid, dct_solver, integrate, predation_field,
-    row_sum_norm,
+    LU_OPTIONS, Region, ScalarField, build_grid, dct_solver, exterior_laplacian_block, integrate,
+    neumann_laplacian, predation_field, row_sum_norm,
 )
 from refugebif.model import (
     Diffusion, ModelParams, State, _holling_denominator, residual, semi_trivial_state,
@@ -83,9 +84,10 @@ class TestStep:
 
     @pytest.mark.parametrize("variant", BOTH)
     def test_predation_on_exterior_cells_matches_the_full_grid_term(self, refuge_grid_16, variant):
-        # the step computes predation on exterior cells only; it must give the
-        # prey update of the full-grid term b u v / den bit for bit, with b
-        # and v zero on the refuge
+        # the step takes b as a constant, so predation reaches exterior cells
+        # only through v, which is zero on the refuge; it must give the prey
+        # update of the full-grid term b(x) u v / den bit for bit, with b(x)
+        # zero on the refuge
         grid, dt = refuge_grid_16, 0.01
         p = make_params(variant, b=1.3)
         rng = np.random.default_rng(8)
@@ -94,8 +96,8 @@ class TestStep:
         v_full = np.zeros(grid.n_cells)
         v_full[grid.exterior_cells] = v_ext
         bf = predation_field(grid, p.b).values
-        rhs = u / dt + (p.lam * u - u * u - bf * u * v_full / _holling_denominator(p, u))
-        u_new, _ = _Stepper(p, grid, dt).advance(u, v_ext)
+        rhs = u * ((1.0 / dt + p.lam) - u - bf * (v_full / _holling_denominator(p, u)))
+        u_new, _ = _Stepper(p, grid, dt).advance(u, v_full)
         fresh = _Stepper(p, grid, dt)
         ref = fresh.prey_solve(rhs) if fresh.prey_solve else fresh._solve_prey(u, rhs)
         assert np.array_equal(u_new, ref)
@@ -115,6 +117,27 @@ class TestStep:
         if variant is Diffusion.LINEAR:
             assert other_dt.prey_solve is not first.prey_solve
         assert _Stepper(replace(p, d=0.5), grid, 0.02).pred_solve is not other_dt.pred_solve
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_linear_step_matches_the_assembled_systems(self, n):
+        # one step solves I/dt - L on every cell and I/dt - d L_ext on the
+        # packed exterior unknowns; v is 0 on the refuge before and after
+        grid, dt = build_grid(n, refuge_box=(0.25, 0.375, 0.625, 0.75)), 0.05
+        p = make_params(Diffusion.LINEAR, d=0.7)
+        st = random_state(grid, np.random.default_rng(n))
+        u, v = st.u.values, st.v.values
+        u_new, v_new = _Stepper(p, grid, dt).advance(u, v)
+
+        den = _holling_denominator(p, u)
+        ext = grid.exterior_cells
+        lap, block = neumann_laplacian(grid, Region.ALL).matrix, exterior_laplacian_block(grid)
+        prey = (sp.identity(grid.n_cells, format="csr") / dt - lap).tocsc()
+        u_ref = spsolve(prey, u / dt + p.lam * u - u * u - p.b * u * v / den)
+        pred = (sp.identity(ext.size, format="csr") / dt - p.d * block).tocsc()
+        v_ref = spsolve(pred, (v / dt - p.mu * v + p.c * u * v / den)[ext])
+        assert np.abs(u_new - u_ref).max() <= 1e-12 * np.abs(u_ref).max()
+        assert np.abs(v_new[ext] - v_ref).max() <= 1e-12 * np.abs(v_ref).max()
+        assert v_new.shape == (grid.n_cells,) and np.all(v_new[grid.refuge_mask] == 0.0)
 
     def test_invalid_dt_rejected(self, refuge_grid_16):
         for dt in (0.0, np.nan, np.inf):
@@ -308,6 +331,28 @@ class TestStaleLuSolve:
             fallback = stepper._solve_prey(u, rhs)
             assert np.array_equal(fallback, splu(a, **LU_OPTIONS).solve(rhs))
             assert is_lu(stepper._precond)
+
+    def test_fresh_dct_attempt_stops_before_the_lu(self, refuge_grid_16, monkeypatch):
+        # on a rough u, CG with a freshly built DCT preconditioner is refused;
+        # it gives up after REFRESH_ITERS + 1 solves, not MAX_CG_ITERS, and
+        # the step factors the prey matrix
+        grid = refuge_grid_16
+        events = []
+        dct = timestepping.dct_solver
+
+        def counting_dct(*args):
+            solve = dct(*args)
+            return lambda r: events.append("dct") or solve(r)
+
+        monkeypatch.setattr(timestepping, "dct_solver", counting_dct)
+        monkeypatch.setattr(
+            timestepping, "splu", lambda a, **kw: events.append("lu") or splu(a, **kw)
+        )
+        stepper = _Stepper(make_params(), grid, 0.05)
+        v = ScalarField.constant(grid, 0.1, Region.EXTERIOR).values
+        stepper.advance(np.abs(rough_u(grid, 0)), v)
+        assert events == ["dct"] * (timestepping.REFRESH_ITERS + 1) + ["lu"]
+        assert is_lu(stepper._precond)
 
     def test_near_matrix_is_accepted_at_the_roundoff_floor(self, refuge_grid_16):
         grid = refuge_grid_16
@@ -589,10 +634,10 @@ class TestPreyMatrix:
             frozen.append(u)
             write(self, u)
 
-        def on_csc(a, b, solve, x0, a_norm):
+        def on_csc(a, b, solve, x0, a_norm, *max_iters):
             csc = self.bincount_build(grid, frozen[-1], dt)
             products.append(1)
-            return cg(csc, b, solve, x0, row_sum_norm(csc))
+            return cg(csc, b, solve, x0, row_sum_norm(csc), *max_iters)
 
         monkeypatch.setattr(_Stepper, "_write_diagonals", recording)
         monkeypatch.setattr(timestepping, "_preconditioned_cg", on_csc)
