@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import GeometryError, NumericalError
 from .geometry import (
@@ -34,6 +33,7 @@ from .geometry import (
     exterior_laplacian_block,
     integrate,
     predation_field,
+    splu,
 )
 from .model import Diffusion, ModelParams
 

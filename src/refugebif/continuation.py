@@ -5,7 +5,9 @@ under the affine constraint avg_v = s (mu free), which steps off the
 predator-free curve without falling back into its Newton basin.  From there
 a secant predictor plus an arclength-constrained corrector walks the branch
 down to mu_min.  The last point is solved by the same corrector under the
-constraint mu = mu_min (a zero row with c_mu = 1), so it lands there exactly.
+constraint mu = mu_min (a zero row with c_mu = 1), so it lands there exactly;
+this landing is taken once the predictor reaches mu_min, and also in place
+of a step whose corrector ends below it.
 Arclength is measured in the mesh-independent metric
 ||(dU, dmu)||^2 = cell_area * |dU|^2 + dmu^2.
 
@@ -42,13 +44,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dtrtrs
-from scipy.sparse.linalg import splu
 
 from .analytics import BifurcationData, bifurcation_data
 from .errors import ComparisonError, EstimationError, GeometryError, NumericalError, ParameterError
 from .geometry import (
     LU_OPTIONS, ROUNDOFF_FACTOR, Grid, exterior_connected, release_free_memory, row_sum_norm,
+    splu,
 )
 from .model import Diffusion, ModelParams, State, jacobian, residual
 from .newton import (
@@ -251,6 +252,8 @@ def _guarded_gmres(system: _Bordered, lu, max_iters: int):
     formed only when |g_k+1| is within 2 sqrt(size) (|r|_2 <= sqrt(size) |r|_inf,
     2 for round-off) times the guard at |d0|_inf + sum |y_i| |z_i|_inf >= |d_k|_inf.
     """
+    from scipy.linalg.lapack import dtrtrs  # loaded with scipy.sparse.linalg, at the first LU
+
     d0, apply_inverse = system.eliminator(lu)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = system.matvec(d0) + system.fg
@@ -391,15 +394,16 @@ def trace_branch(
 
         while True:
             y_pred = ys[-1] + ds * tangent
-            if y_pred[-1] <= mu_min:
-                # final step: from the last point, a zero row with c_mu = 1
-                # pins mu to mu_min exactly; failing that, creep closer first
-                y0 = np.append(ys[-1][:-1], mu_min)
-                c_row, c_mu, c_target = land_row, 1.0, mu_min
-            else:
-                y0, c_row, c_mu = y_pred, area_weight * tangent[:-1], float(tangent[-1])
-                c_target = float(c_row @ y0[:-1] + c_mu * y0[-1])
-            accepted = attempt(y0, c_row, c_mu, c_target)
+            if y_pred[-1] > mu_min:
+                c_row, c_mu = area_weight * tangent[:-1], float(tangent[-1])
+                accepted = attempt(
+                    y_pred, c_row, c_mu, float(c_row @ y_pred[:-1] + c_mu * y_pred[-1])
+                )
+            if y_pred[-1] <= mu_min or (accepted is not None and accepted[0][-1] < mu_min):
+                # final step, also in place of a step that corrected past
+                # mu_min: from the last point, a zero row with c_mu = 1 pins
+                # mu to mu_min exactly; failing that, creep closer first
+                accepted = attempt(np.append(ys[-1][:-1], mu_min), land_row, 1.0, mu_min)
             if accepted is not None and accepted[0][-1] < ys[-1][-1]:
                 break
             accepted = None

@@ -18,7 +18,6 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import GeometryError, ParameterError
 
@@ -137,6 +136,20 @@ def row_sum_norm(mat: sp.csr_matrix) -> float:
     """max_i sum_j |a_ij| of a CSR matrix (the column sums of a CSC one); an
     empty row sums an entry of the next one, which leaves the max as it is."""
     return float(np.add.reduceat(np.append(np.abs(mat.data), 0.0), mat.indptr[:-1]).max())
+
+
+def splu(a, **options):
+    """SciPy's sparse LU of the CSC matrix ``a`` (``splu(a, **LU_OPTIONS)``).
+
+    ``scipy.sparse.linalg``, and the ``scipy.linalg`` it loads, are imported
+    on the first call rather than with the package, since many runs never
+    factor (``analyze``, and ``simulate`` while the prey stays smooth).
+    Each module that factors binds this function as its own ``splu``, so
+    that its factorizations can be wrapped apart from the others'.
+    """
+    from scipy.sparse.linalg import splu as superlu
+
+    return superlu(a, **options)
 
 
 def release_free_memory():
@@ -438,10 +451,28 @@ def predation_field(grid: Grid, b: float) -> ScalarField:
 
 
 def exterior_connected(grid: Grid) -> bool:
-    """Whether the predator habitat forms a single connected component."""
+    """Whether the predator habitat forms a single connected component.
+
+    Label propagation over the faces that join two exterior cells: every
+    cell starts labelled by its own index, each round gives both cells of a
+    face the smaller of their labels and then replaces each label by the
+    label of the cell it names (pointer jumping), until a round changes
+    nothing.  A label is always a cell of the same component, so each
+    component ends with one label, its least cell; the habitat is connected
+    when exactly one exterior cell is its own label.
+    """
     if grid.n_exterior == 0:
         return False
-    n_comp = connected_components(
-        exterior_laplacian_block(grid), directed=False, return_labels=False
-    )
-    return int(n_comp) == 1
+    (px, qx, _), (py, qy, _) = _interior_faces(grid, Region.EXTERIOR)
+    label = np.arange(grid.n_cells)
+    while True:
+        before = label.copy()
+        # no cell appears twice in one face list's p or q, so each
+        # assignment writes every cell at most once
+        for p, q in ((px, qx), (qx, px), (py, qy), (qy, py)):
+            label[p] = np.minimum(label[p], label[q])
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+    ext = grid.exterior_cells
+    return np.count_nonzero(label[ext] == ext) == 1

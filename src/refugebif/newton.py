@@ -6,10 +6,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .errors import GuessError, ParameterError, SingularResponseError
-from .geometry import LU_OPTIONS, Grid, Region, ScalarField
+from .geometry import LU_OPTIONS, Grid, Region, ScalarField, splu
 from .model import ModelParams, State, jacobian, residual
 from . import analytics
 

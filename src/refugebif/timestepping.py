@@ -45,12 +45,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import ParameterError, StepError
 from .geometry import (
     LU_OPTIONS, ROUNDOFF_FACTOR, Grid, Region, ScalarField, _interior_faces, dct_solver,
-    neumann_laplacian, release_free_memory, shifted_laplacian_solver,
+    neumann_laplacian, release_free_memory, shifted_laplacian_solver, splu,
 )
 from .model import Diffusion, ModelParams, State, _holling_denominator
 

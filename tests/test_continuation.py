@@ -121,6 +121,31 @@ class TestTraceBranch:
             assert not branch.truncated
             assert branch.points[-1].mu == 0.08
 
+    def test_step_that_corrects_past_mu_min_lands_on_it(self, monkeypatch):
+        # on these inputs (n = 32, refuge box one cell up) an arclength step
+        # from mu = 0.0183, whose predictor stays above mu_min, corrects to
+        # mu = 0.00083 < mu_min; the landing from the last point replaces it
+        from refugebif.geometry import build_grid
+
+        grid = build_grid(32, refuge_box=(0.375, 0.40625, 0.625, 0.65625))
+        p = make_params(Diffusion.LINEAR, lam=1.002400589704311, m=1.0096571557454446,
+                        b=0.9901695999897914)
+        real, landed_mus = continuation._Corrector.solve, []
+
+        def recording(self, y0, c_row, c_mu, c_target):
+            y, iters, ok = real(self, y0, c_row, c_mu, c_target)
+            if ok:
+                landed_mus.append(y[-1])
+            return y, iters, ok
+
+        monkeypatch.setattr(continuation._Corrector, "solve", recording)
+        mu_min = 1e-3
+        branch = trace_branch(grid, p, mu_min)
+        assert min(landed_mus) < mu_min  # the overshoot happened
+        assert not branch.truncated and branch.diagnostic == ""
+        assert branch.points[-1].mu == mu_min
+        assert np.all(np.diff(branch.mus) < 0.0)
+
     @pytest.mark.parametrize("variant", BOTH)
     def test_landing_matches_fixed_mu_newton(self, refuge_grid_16, variant):
         # the last point is the corrector's, under the constraint mu = mu_min;

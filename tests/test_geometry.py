@@ -272,3 +272,30 @@ class TestConnectivity:
 
     def test_strip_disconnects(self):
         assert not exterior_connected(disconnected_grid())
+
+    @staticmethod
+    def csgraph_connected(grid):
+        """The reference: one component of the exterior Laplacian's graph."""
+        from scipy.sparse.csgraph import connected_components
+
+        block = exterior_laplacian_block(grid)
+        return block.shape[0] > 0 and connected_components(block, return_labels=False) == 1
+
+    @pytest.mark.parametrize("make_grid", [l_shaped_grid, disconnected_grid])
+    def test_matches_csgraph_on_the_fixtures(self, make_grid):
+        grid = make_grid()
+        assert exterior_connected(grid) == self.csgraph_connected(grid)
+
+    def test_matches_csgraph_on_random_masks(self):
+        rng = np.random.default_rng(22)
+        outcomes = []
+        for _ in range(50):
+            n = int(rng.integers(6, 21))
+            refuge = rng.random((n, n)) < rng.uniform(0.05, 0.5)
+            grid = grid_with_regions(n, np.where(refuge, REFUGE, EXTERIOR))
+            outcomes.append(self.csgraph_connected(grid))
+            assert exterior_connected(grid) == outcomes[-1]
+        assert 10 <= sum(outcomes) <= 40  # both answers are exercised
+
+    def test_no_exterior_is_not_connected(self):
+        assert not exterior_connected(grid_with_regions(6, np.full(36, REFUGE)))

@@ -9,13 +9,14 @@ from scipy.sparse.linalg import SuperLU, spsolve, splu
 
 from conftest import random_state, rough_u
 from refugebif import timestepping
+from refugebif.continuation import solve_at_mu, trace_branch
 from refugebif.errors import ParameterError
 from refugebif.geometry import (
     LU_OPTIONS, Region, ScalarField, build_grid, dct_solver, exterior_laplacian_block, integrate,
     neumann_laplacian, predation_field, row_sum_norm,
 )
 from refugebif.model import (
-    Diffusion, ModelParams, State, _holling_denominator, residual, semi_trivial_state,
+    Diffusion, ModelParams, State, _holling_denominator, jacobian, residual, semi_trivial_state,
 )
 from refugebif.timestepping import (
     TimeOptions, _preconditioned_cg, _Stepper, evolve_to_steady, step,
@@ -271,6 +272,30 @@ class TestEvolveToSteady:
             lambda k, t, s, c: states.append(s),
         )
         assert np.array_equal(states[0].pack(), via_step.pack())
+
+    def test_small_mu_steady_state_matches_the_traced_branch(self, refuge_grid_16):
+        # The integrator as an independent route to a branch state at small
+        # mu.  One Newton correction d of the IMEX end state gives the end
+        # state's error to first order, so its exterior mean of v predicts
+        # the avg_v gap; twice that bound leaves room for a second-order
+        # remainder as large as the first-order term.
+        grid = refuge_grid_16
+        p = make_params(mu=0.004)
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            final, steady = evolve_to_steady(
+                p, positive_state(grid, 0.5, 0.1),
+                TimeOptions(dt=0.05, t_max=3000.0, steady_tol=1e-8),
+            )
+        assert steady
+        branch = trace_branch(grid, p, 0.004)
+        on_branch, report = solve_at_mu(branch, 0.004)
+        assert report.converged
+        d = spsolve(jacobian(p, final).matrix.tocsc(), -residual(p, final))
+        ext = grid.exterior_cells
+        predicted = abs(d[grid.n_cells:].mean())
+        avg_v = on_branch.v.values[ext].mean()
+        assert predicted <= 1e-5 * avg_v
+        assert abs(final.v.values[ext].mean() - avg_v) <= 2.0 * predicted
 
 
 class TestStaleLuSolve:
