@@ -19,9 +19,9 @@ The corrector keeps the last LU of J it made on the branch and uses that
 elimination as a right preconditioner for GMRES on A, started from the
 eliminated step (Uecker, Wetzel & Rademacher 2014 reuse factors the same
 way).  J changes little from one iterate or point to the next, so a few
-iterations with the stale LU replace a fresh LU, worth about 30 solves; GMRES
-forms an iterate only when its Givens estimate of the residual could pass
-the guard.  Every step is guarded, since J is singular at the onset and the
+iterations with the stale LU replace a fresh LU, which costs many solves;
+GMRES forms an iterate only when its Givens estimate of the residual could
+pass the guard.  Every step is guarded, since J is singular at the onset and the
 seeds sit just below it: a step is kept only if it is finite and its true
 bordered residual is within the larger of 1e-10 |(f, g)| and the round-off
 floor ROUNDOFF_FACTOR eps |J| |d| in the max-norm.  A step that GMRES

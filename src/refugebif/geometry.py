@@ -159,9 +159,8 @@ def release_free_memory():
     A kept LU sits below the arrays made after it, so once freed it leaves a
     hole in the heap that the C library does not give back, and later
     factors and arrays at other offsets in it make more of its pages
-    resident.  At n = 64 this raised the peak RSS of two Fig. 1 traces by
-    about 12 MB, and that of a Newton solve after a nonlinear simulate run
-    by 2.4 MB.  glibc's malloc_trim(0) releases the hole's free pages.
+    resident, raising the peak RSS of the traces and Newton solves that
+    follow.  glibc's malloc_trim(0) releases the hole's free pages.
     """
     try:
         trim = ctypes.CDLL(None).malloc_trim

@@ -15,17 +15,21 @@ capacitance-matrix correction for the faces cut by the refuge, applied in
 transform space (kept by the grid).
 The nonlinear prey matrix A = I/dt - div(ubar grad .) changes every step
 but slowly, since u moves by O(dt); it is kept as five diagonals rewritten
-in place.  Each step solves A x = b by conjugate gradients with a kept
-preconditioner, started from the extrapolation 3u - 3u_1 + u_2 of the prey
-states of the last steps (2u - u_1 with one kept), and accepts x only when
-the true residual is at the round-off floor a direct solve reaches,
-|b - A x|_inf <= 10 eps (|A|_inf |x|_inf + |b|_inf).  A refresh, as on a
-stepper's first step, first builds the DCT solve of I/dt - mean(u) L
-(geometry.dct_solver), exact for a uniform u and close while u is smooth
-(Concus & Golub 1973).  Only when CG with that fresh preconditioner needs
-more than REFRESH_ITERS iterations, or is refused, is A built in CSC form
-and factored, and its LU kept in its place; the next refresh tries the DCT
-again.  Since the LU is factored either way, that CG stops after
+in place.  |A|_inf is summed with the diagonals: on u >= 0, as on every
+clamped step, the off-diagonals are <= 0, so the column sums subtract them
+and take no absolute values.  Each step solves A x = b by conjugate
+gradients with a kept preconditioner, started from the extrapolation
+3u - 3u_1 + u_2 of the prey states of the last steps (2u - u_1 with one
+kept), and accepts x only when the true residual is at the round-off floor
+a direct solve reaches, |b - A x|_inf <= 10 eps (|A|_inf |x|_inf + |b|_inf).
+CG updates its residual recursively and forms the true one only when the
+recursive one passes that floor; if the true one does not, CG goes on from
+it with the search direction reset.  A refresh, as on a stepper's first
+step, first builds the DCT solve of I/dt - mean(u) L (geometry.dct_solver),
+exact for a uniform u and close while u is smooth (Concus & Golub 1973).
+Only when CG with that fresh preconditioner needs more than REFRESH_ITERS
+iterations, or is refused, is A built in CSC form and factored, and its LU
+kept in its place; the next refresh tries the DCT again.  Since the LU is factored either way, that CG stops after
 REFRESH_ITERS + 1 iterations.  A solve with a kept preconditioner that
 needed more than REFRESH_ITERS iterations is accepted and the next step
 refreshes.  With no acceptance within MAX_CG_ITERS, or a curvature p.Ap
@@ -80,32 +84,54 @@ def _preconditioned_cg(a, b: np.ndarray, solve, x0: np.ndarray, a_norm: float,
                        max_iters: int = MAX_CG_ITERS):
     """Solve the symmetric system ``a x = b`` by CG preconditioned with
     ``solve``, an approximate inverse of ``a`` (the DCT solve of a constant
-    coefficient matrix, or the LU solve of a nearby one), from the start
-    ``x0``; ``a_norm`` is |a|_inf.
+    coefficient matrix, or the LU solve of a nearby one) that returns a new
+    array, from the start ``x0``; ``a_norm`` is |a|_inf.
 
-    Returns ``(x, k)`` for the first iterate whose true residual is within
-    ROUNDOFF_FACTOR * eps * (|a| |x| + |b|) in the max-norm, or None if none
-    is within ``max_iters`` or a curvature p.Ap (or r.z) is not positive and
-    finite.  ``k`` counts both the iterations and the ``solve`` calls (0
-    when ``x0`` already passes); ``x`` is never ``x0`` itself.
+    The residual is formed as b - a x0 once and then updated recursively,
+    r -= alpha a p, which costs no product of its own.  The recursive
+    residual drifts from the true one near round-off (Greenbaum 1997), so
+    when it passes ROUNDOFF_FACTOR * eps * (|a| |x| + |b|) in the max-norm,
+    the true residual b - a x is formed once and must pass too.  If it does
+    not, CG goes on from the true residual with p reset to its
+    preconditioned value (van der Vorst & Ye 2000).
+
+    Returns ``(x, k)`` for the first iterate whose true residual passes, or
+    None if none does within ``max_iters`` or a curvature p.Ap (or r.z) is
+    not positive and finite.  ``k`` counts both the iterations and the
+    ``solve`` calls (0 when ``x0`` already passes); ``x`` is never ``x0``
+    itself.
     """
-    b_norm = np.abs(b).max()
     scale = ROUNDOFF_FACTOR * np.finfo(float).eps
+    b_norm = max(b.max(), -b.min())
     x = x0.copy()
+    r = b - a @ x
+    true = True  # r is b - a x, not the recursive residual
     for k in range(max_iters + 1):
-        r = b - a @ x
-        if np.abs(r).max() <= scale * (a_norm * np.abs(x).max() + b_norm):
-            return x, k
+        floor = scale * (a_norm * max(x.max(), -x.min()) + b_norm)
+        if max(r.max(), -r.min()) <= floor:
+            if true:
+                return x, k
+            r = b - a @ x
+            true = True
+            if max(r.max(), -r.min()) <= floor:
+                return x, k
         if k == max_iters:
             return None
         z = solve(r)
         rz = r @ z
-        p = z if k == 0 else z + (rz / rz_old) * p
+        if true:
+            p = z
+        else:
+            p *= rz / rz_old
+            p += z
         ap = a @ p
         curvature = p @ ap
         if not (rz > 0.0 and 0.0 < curvature < np.inf):
             return None
-        x = x + (rz / curvature) * p
+        alpha = rz / curvature
+        x += alpha * p
+        r -= alpha * ap
+        true = False
         rz_old = rz
 
 
@@ -129,7 +155,10 @@ class _Stepper:
             lap = neumann_laplacian(grid, Region.ALL).matrix
             offsets = np.array([-grid.n_x, -1, 0, 1, grid.n_x])
             self._a = sp.dia_matrix((np.zeros((5, grid.n_cells)), offsets), shape=lap.shape)
-            (_, _, self._wx), (_, _, self._wy) = _interior_faces(grid, Region.ALL)
+            self._sums = np.empty(grid.n_cells)  # |A|'s column sums, and scratch
+            (_, _, wx), (_, _, wy) = _interior_faces(grid, Region.ALL)
+            # -c on a face is -(face mean of u) * weight; the 1/2 is folded in
+            self._wx, self._wy = -0.5 * wx, -0.5 * wy
             # the slot of each entry of the Laplacian's (symmetric) pattern
             self._pattern = (lap.indices, lap.indptr)
             cols = np.repeat(np.arange(grid.n_cells), np.diff(lap.indptr))
@@ -139,20 +168,37 @@ class _Stepper:
         """Write A, with arithmetic face means of the frozen u, in place, and
         return |A|_inf summed as geometry.row_sum_norm sums A's CSC columns:
         the first stored entry plus the others, in row order."""
-        n_y, n_x = self.grid.n_y, self.grid.n_x
-        north, east, diag, west, south = self._a.data.reshape(5, n_y, n_x)
-        grid_u = u.reshape(n_y, n_x)
-        east[:, :-1] = -0.5 * (grid_u[:, :-1] + grid_u[:, 1:]) * self._wx
-        west[:, 1:] = east[:, :-1]
-        north[:-1] = -0.5 * (grid_u[:-1] + grid_u[1:]) * self._wy
-        south[1:] = north[:-1]
+        n_x = self.grid.n_x
+        north, east, diag, west, south = self._a.data
+        sums = self._sums
+        # -c on the x-face (j, j + 1) goes to east at j and to west at j + 1;
+        # the sum across the end of a grid row is no face, and is zeroed
+        np.add(u[:-1], u[1:], out=east[:-1])
+        east[:-1] *= self._wx
+        east[n_x - 1::n_x] = 0.0
+        west[1:] = east[:-1]
+        # -c on the y-face (j, j + n_x) goes to north at j and to south at j + n_x
+        np.add(u[:-n_x], u[n_x:], out=north[:-n_x])
+        north[:-n_x] *= self._wy
+        south[n_x:] = north[:-n_x]
         # 1/dt, plus c over the faces (j, q), plus c over the faces (p, j)
-        diag[:] = (1.0 / self.dt - (east + north)) - (west + south)
-        north, east, diag, west, south = np.abs(self._a.data)
-        sums = south + (((west + diag) + east) + north)
+        np.subtract(1.0 / self.dt, np.add(east, north, out=diag), out=diag)
+        diag -= np.add(west, south, out=sums)
+        # the sums subtract the off-diagonals: on u >= 0 they are <= 0 and the
+        # diagonal is positive, so this adds their absolute values exactly;
+        # on a u with negatives, they are replaced by -|x| and the diagonal by |x|
+        data = self._a.data
+        if u.min() < 0.0:
+            data = -np.abs(data)
+            data[2] *= -1.0
+        north, east, diag, west, south = data
+        np.subtract(diag, west, out=sums)
+        sums -= east
+        sums -= north
+        sums -= south
         # columns 0 .. n_x - 1 have no south entry, and column 0 no west one
-        sums[1:n_x] = west[1:n_x] + ((diag[1:n_x] + east[1:n_x]) + north[1:n_x])
-        sums[0] = diag[0] + (east[0] + north[0])
+        sums[1:n_x] = ((diag[1:n_x] - east[1:n_x]) - north[1:n_x]) - west[1:n_x]
+        sums[0] = diag[0] - (east[0] + north[0])
         return float(sums.max())
 
     def _prey_matrix(self, u: np.ndarray) -> sp.csc_matrix:

@@ -405,8 +405,15 @@ class TestStaleLuSolve:
             calls.append(1)
             return lu.solve(r)
 
-        x, iters = _preconditioned_cg(a, rhs, counting, x0, row_sum_norm(a))
-        assert iters == 0 and not calls
+        products = []
+
+        class Counting:
+            def __matmul__(self, v):
+                products.append(1)
+                return a @ v
+
+        x, iters = _preconditioned_cg(Counting(), rhs, counting, x0, row_sum_norm(a))
+        assert iters == 0 and not calls and len(products) == 1
         assert x is not x0 and np.array_equal(x, start)
         x[:] = -1.0
         assert np.array_equal(x0, start)
@@ -438,6 +445,82 @@ class TestStaleLuSolve:
         monkeypatch.setattr(timestepping, "ROUNDOFF_FACTOR", 0.1)
         for solve in preconditioners:
             assert _preconditioned_cg(a, rhs, solve, u, a_norm) is None
+
+    @pytest.mark.parametrize("precond", ["dct", "lu"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_acceptance_is_confirmed_on_the_true_residual(self, refuge_grid_16, precond, seed):
+        # products perturbed by about 1e-14 relative make the recursive
+        # residual drift from the true one at the round-off floor: CG forms
+        # the true residual b - A x when the recursive one passes, and if it
+        # is refused, goes on from it with p reset to the preconditioned
+        # true residual.  It accepts only an iterate whose own product
+        # passes, or returns None.
+        grid, dt = refuge_grid_16, 0.05
+        stepper = _Stepper(make_params(), grid, dt)
+        u = 0.8 + 0.02 * np.cos(2 * np.pi * grid.cell_x) * np.cos(np.pi * grid.cell_y)
+        rng = np.random.default_rng(seed)
+        rhs = rng.standard_normal(grid.n_cells)
+        a = stepper._prey_matrix(u)
+        a_norm = row_sum_norm(a)
+        direct = splu(a, **LU_OPTIONS).solve(rhs)
+        solve = (dct_solver(grid, 1.0 / dt, u.mean()) if precond == "dct"
+                 else splu(stepper._prey_matrix(1.001 * u), **LU_OPTIONS).solve)
+        products = []
+
+        class Perturbed:
+            def __matmul__(self, v):
+                out = (a @ v) * (1.0 + 1e-14 * rng.standard_normal(v.size))
+                products.append((v.copy(), out))
+                return out
+
+        solved = _preconditioned_cg(Perturbed(), rhs, solve, u, a_norm)
+        # the products of an iterate after the start: its true residuals
+        near = 1e-6 * np.abs(direct).max()
+        checks = [i for i, (v, _) in enumerate(products) if i and np.abs(v - direct).max() <= near]
+        refused = [i for i in checks if i < len(products) - 1]
+        assert refused
+        for i in refused:
+            # CG goes on from the refused true residual with p = solve(r)
+            assert np.array_equal(products[i + 1][0], solve(rhs - products[i][1]))
+        if solved is not None:
+            x, iters = solved
+            v, out = products[-1]
+            floor = 10.0 * np.finfo(float).eps * (a_norm * np.abs(x).max() + np.abs(rhs).max())
+            assert np.array_equal(v, x) and np.abs(rhs - out).max() <= floor
+            assert len(products) == 1 + iters + len(checks)
+
+    def test_one_true_residual_per_accepted_solve(self, refuge_grid_16, monkeypatch):
+        # CG forms b - A x at the start and once more to confirm that the
+        # recursive residual passes, and makes one product A p per
+        # iteration: k + 2 products for a solve accepted after k >= 1
+        # iterations (1 for a start that passes), not 2k + 1.  A refused
+        # confirmation adds one, and is rare on a smooth run.
+        cg = timestepping._preconditioned_cg
+        calls = []
+
+        class Counting:
+            def __init__(self, a):
+                self.a, self.products = a, 0
+
+            def __matmul__(self, v):
+                self.products += 1
+                return self.a @ v
+
+        def counting_cg(a, b, solve, *args):
+            counting = Counting(a)
+            solved = cg(counting, b, solve, *args)
+            if solved is not None:
+                calls.append((counting.products, solved[1]))
+            return solved
+
+        monkeypatch.setattr(timestepping, "_preconditioned_cg", counting_cg)
+        _, steady = evolve_to_steady(
+            make_params(), positive_state(refuge_grid_16, u0=0.5, v0=0.1),
+            TimeOptions(dt=0.05, t_max=500.0, steady_tol=1e-6),
+        )
+        assert steady and len(calls) > 1000
+        assert all(products >= iters + 2 for products, iters in calls if iters > 0)
+        assert sum(products > iters + 2 for products, iters in calls if iters > 0) < len(calls) / 100
 
     @pytest.mark.filterwarnings("ignore:clamped")
     @pytest.mark.parametrize("mu,t_max", [(0.4, 500.0), (0.02, 50.0)])
@@ -587,16 +670,21 @@ class TestPreyMatrix:
         # and the first row, whose columns store fewer entries, and interior
         n_x, n = grid.n_x, grid.n_cells
         for seed, hot in enumerate([None, 0, 1, n_x - 1, n_x, n_x + 1, n // 2, n - 1] * 6):
-            u = rough_u(grid, seed)
+            rough = rough_u(grid, seed)
             if hot is not None:
-                u[hot] = 1e6 * rng.uniform(1.0, 2.0)
-            ref = self.bincount_build(grid, u, dt)
-            assert np.count_nonzero(u == 0.0) and np.count_nonzero(u < 0.0)
-            a_norm = stepper._write_diagonals(u)
-            assert np.array_equal(stepper._a.toarray(), ref.toarray())
-            for x in (rng.standard_normal(n), u):
-                assert np.array_equal(stepper._a @ x, ref @ x)
-            assert a_norm == row_sum_norm(ref)
+                rough[hot] = 1e6 * rng.uniform(1.0, 2.0)
+            assert np.count_nonzero(rough == 0.0) and np.count_nonzero(rough < 0.0)
+            x = rng.standard_normal(n)
+            # |A|_inf of a u with negatives takes absolute values, which
+            # matter most where u <= 0; that of a u >= 0 (with zeros)
+            # subtracts the off-diagonals instead
+            for u in (rough, -np.abs(rough), np.abs(rough)):
+                ref = self.bincount_build(grid, u, dt)
+                a_norm = stepper._write_diagonals(u)
+                assert np.array_equal(stepper._a.toarray(), ref.toarray())
+                for y in (x, u):
+                    assert np.array_equal(stepper._a @ y, ref @ y)
+                assert a_norm == row_sum_norm(ref)
 
     def test_factored_matrix_keeps_the_laplacian_pattern(self, grid, monkeypatch):
         # the first step on a rough u, the refresh after a slow CG on its LU
