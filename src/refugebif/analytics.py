@@ -20,19 +20,19 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import GeometryError, NumericalError
+# splu is not called here; it stays bound because perfbench/tracing.py wraps it
 from .geometry import (
-    LU_OPTIONS,
     Grid,
     Region,
     ScalarField,
     dct_solver,
     exterior_connected,
-    exterior_laplacian_block,
     integrate,
+    neumann_laplacian,
     predation_field,
+    shifted_laplacian_solver,
     splu,
 )
 from .model import Diffusion, ModelParams
@@ -85,10 +85,9 @@ def _slope(grid: Grid, params: ModelParams, kern: ScalarField) -> float:
 
 def onset_transversality(grid: Grid, params: ModelParams) -> float:
     """Exterior integral of the predator component of the second branch
-    derivative at onset; being nonzero is what licenses the slope formula."""
-    kern = kernel_profile(grid, params)
-    saturation = (1.0 + params.m * params.lam) ** 2
-    return -2.0 * params.c / saturation * integrate(kern, Region.EXTERIOR)
+    derivative at onset, 2 |Omega_1| mu'(0); being nonzero is what licenses
+    the slope formula."""
+    return 2.0 * grid.n_exterior * grid.cell_area * branch_slope(grid, params)
 
 
 def bifurcation_data(grid: Grid, params: ModelParams) -> BifurcationData:
@@ -114,9 +113,11 @@ def v_block_eigenvalue(
 
     The block shares eigenvectors with -L_ext, so its smallest eigenvalue is
     nu_min(-L_ext) + (mu - mu_lambda); nu_min is found by inverse power
-    iteration on the well-conditioned shift I - L_ext.  In the discrete
-    setting nu_min is exactly zero (constant eigenvector, zero row sums), so
-    the crossing sits exactly at mu = mu_lambda.
+    iteration on the well-conditioned shift I - L_ext, which
+    geometry.shifted_laplacian_solver solves on full-grid arrays (zero on
+    the refuge).  In the discrete setting nu_min is exactly zero (constant
+    eigenvector, zero row sums), so the crossing sits exactly at
+    mu = mu_lambda.
     """
     if not exterior_connected(grid):
         warnings.warn(
@@ -125,20 +126,18 @@ def v_block_eigenvalue(
             RuntimeWarning,
             stacklevel=2,
         )
-    ext = grid.exterior_cells
-    shifted = (sp.identity(ext.size, format="csr") - exterior_laplacian_block(grid)).tocsc()
-    solve = splu(shifted, **LU_OPTIONS)
+    solve = shifted_laplacian_solver(grid, 1.0, 1.0, Region.EXTERIOR)
+    lap = neumann_laplacian(grid, Region.EXTERIOR).matrix
 
     # deterministic start with guaranteed overlap onto the constant mode
-    x = grid.cell_x[ext] / grid.domain_length[0]
-    y = grid.cell_y[ext] / grid.domain_length[1]
-    z = 1.0 + 0.25 * np.cos(np.pi * x) * np.cos(np.pi * y)
+    x = grid.cell_x / grid.domain_length[0]
+    y = grid.cell_y / grid.domain_length[1]
+    z = np.where(grid.refuge_mask, 0.0, 1.0 + 0.25 * np.cos(np.pi * x) * np.cos(np.pi * y))
     z /= np.linalg.norm(z)
-    rho = float(z @ (shifted @ z))
     for _ in range(max_iters):
-        z = solve.solve(z)
+        z = solve(z)
         z /= np.linalg.norm(z)
-        bz = shifted @ z
+        bz = z - lap @ z
         rho = float(z @ bz)
         if np.linalg.norm(bz - rho * z) <= tol * max(1.0, abs(rho)):
             break

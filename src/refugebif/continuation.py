@@ -31,10 +31,13 @@ passes, or else after one GMRES iteration, which refines it.  Failing that
 too, or if J will not factor, it is solved with an LU of the bordered
 matrix (Govaerts 2000, ch. 3).
 
-Every LU here, as everywhere in the package, is ordered by minimum degree
-on the pattern of J^T + J with SuperLU's SymmetricMode (geometry.LU_OPTIONS):
-J is structurally symmetric, and this factor has about half the entries of
-a COLAMD one.  Pivoting is not given up: the pivot threshold stays at 1, so
+newton.newton_solve takes its steps from the same corrector, with mu
+pinned by the landing's zero row.  So the LUs here, of J and of the
+bordered matrix, are the package's only ones besides the IMEX prey LU in
+timestepping.  Each is ordered by minimum degree on the pattern of
+J^T + J with SuperLU's SymmetricMode (geometry.LU_OPTIONS): J is
+structurally symmetric, and this factor has about half the entries of a
+COLAMD one.  Pivoting is not given up: the pivot threshold stays at 1, so
 a diagonal pivot is taken only when it is also the largest in its column.
 """
 

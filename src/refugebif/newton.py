@@ -8,8 +8,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import GuessError, ParameterError, SingularResponseError
-from .geometry import LU_OPTIONS, Grid, Region, ScalarField, splu
-from .model import ModelParams, State, jacobian, residual
+# splu is not called here; it stays bound because perfbench/tracing.py wraps it
+from .geometry import Grid, Region, ScalarField, splu
+from .model import ModelParams, State, residual
 from . import analytics
 
 # max-norm threshold below which a component counts as identically zero
@@ -115,20 +116,30 @@ def newton_solve(
 ) -> tuple[State, NewtonReport]:
     """Solve residual(params, .) = 0 by damped Newton from ``initial``.
 
-    Failures (singular Jacobian, stalled backtracking, inadmissible iterates)
-    are reported through the returned :class:`NewtonReport`, never raised.
+    Each step is the continuation corrector's guarded step with mu pinned
+    (a zero constraint row, c_mu = 1, so its mu part is exactly 0): GMRES
+    preconditioned by the last LU of J, then a fresh LU, then the bordered
+    LU.  Failures (singular Jacobian, stalled backtracking, inadmissible
+    iterates) are reported through the returned :class:`NewtonReport`,
+    never raised.
     """
+    from .continuation import _Corrector  # continuation imports this module
+
     opts = opts or NewtonOptions()
     grid = initial.grid
+    corrector = _Corrector(grid, params, opts)
+    zero_row = np.zeros(grid.n_cells + grid.n_exterior)
 
     def fun(x):
         return residual(params, State.unpack(grid, x))
 
     def solve(x, f):
-        jac = jacobian(params, State.unpack(grid, x)).matrix
-        return splu(jac.tocsc(), **LU_OPTIONS).solve(-f)
+        return corrector.step(np.append(x, params.mu), np.append(f, 0.0), zero_row, 1.0)[:-1]
 
-    x, _, history, diagnostic = _damped_newton(initial.pack(), fun, solve, opts)
+    try:
+        x, _, history, diagnostic = _damped_newton(initial.pack(), fun, solve, opts)
+    finally:
+        corrector.release()
     out = State.unpack(grid, x)
     cls, positivity = classify_state(out)
     return out, NewtonReport(

@@ -16,7 +16,7 @@ from refugebif.timestepping import TimeOptions, evolve_to_steady  # noqa: E402
 
 def test_tracer_install_rebinds_and_uninstall_restores():
     bound = [(owner, attr) for owner, attr, *_ in tracing._targets()]
-    bound += [(m, name) for m in (newton, continuation) for name in ("residual", "jacobian")]
+    bound += [(newton, "residual"), (continuation, "residual"), (continuation, "jacobian")]
     originals = [getattr(owner, attr) for owner, attr in bound]
     tracer = tracing.Tracer()
     try:

@@ -149,19 +149,31 @@ class TestTraceBranch:
     @pytest.mark.parametrize("variant", BOTH)
     def test_landing_matches_fixed_mu_newton(self, refuge_grid_16, variant):
         # the last point is the corrector's, under the constraint mu = mu_min;
-        # a plain Newton solve at mu_min from the point before is the reference
+        # the reference is a plain damped Newton at mu_min from the point
+        # before, with a fresh SciPy LU of J on every iteration
         from dataclasses import replace
 
-        from refugebif.newton import newton_solve
+        from scipy.sparse.linalg import splu
+
+        from refugebif.model import State, jacobian, residual
+        from refugebif.newton import _damped_newton
 
         mu_min, opts, p = 0.3, ContinuationOptions(), make_params(variant)
         points = trace_branch(refuge_grid_16, p, mu_min, opts).points
         assert points[-1].mu == mu_min
-        ref, rep = newton_solve(replace(p, mu=mu_min), points[-2].state, opts.corrector)
-        assert rep.converged
-        assert points[-1].newton_iters == rep.iterations
+        grid, at_min = refuge_grid_16, replace(p, mu=mu_min)
+
+        def fun(x):
+            return residual(at_min, State.unpack(grid, x))
+
+        def solve(x, f):
+            return splu(jacobian(at_min, State.unpack(grid, x)).matrix.tocsc()).solve(-f)
+
+        ref, _, history, _ = _damped_newton(points[-2].state.pack(), fun, solve, opts.corrector)
+        assert history[-1] <= opts.corrector.tol_residual
+        assert points[-1].newton_iters == len(history) - 1
         got = points[-1].state.pack()
-        assert np.abs(got - ref.pack()).max() <= 1e-12 * np.abs(ref.pack()).max()
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_newton_residual_contract(self, refuge_grid_16, branches_16):
         from refugebif.model import residual

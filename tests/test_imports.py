@@ -69,3 +69,14 @@ assert len(rb.trace_branch(grid, p, 0.45).points) > 2
 """
     loaded = deferred_loaded_after(code, tmp_path)
     assert "scipy.sparse.linalg" in loaded and "scipy.sparse.csgraph" not in loaded
+
+
+def test_predator_block_eigenvalue_factors_nothing(tmp_path):
+    code = f"""
+import refugebif as rb
+from refugebif.analytics import v_block_eigenvalue
+grid = rb.build_grid(16, refuge_box={REFUGE_BOX!r})
+p = rb.ModelParams(lam=1.0, mu=0.4, c=1.0, m=1.0, b=1.0)
+assert abs(v_block_eigenvalue(grid, p, 0.4) + 0.1) < 1e-10
+"""
+    assert deferred_loaded_after(code, tmp_path) == []

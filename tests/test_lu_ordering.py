@@ -49,7 +49,13 @@ def test_every_factorization_uses_the_shared_ordering(recorded, variant):
     grid = build_grid(16, refuge_box=REFUGE_BOX)
     p = make_params(variant)
     branch = continuation.trace_branch(grid, p, 0.45)
-    # started off the solution, so that newton_solve factors J at least once
+    # a fixed-mu solve on a fresh corrector factors J once, and its later
+    # steps run on that LU
+    traced = len(recorded)
+    continuation.solve_at_mu(branch, 0.46)
+    assert len(recorded) - traced <= 1
+    # started off the solution, so that newton_solve factors J at least
+    # once, through the corrector
     newton.newton_solve(replace(p, mu=0.44), branch.points[-1].state)
     evolve_to_steady(p, branch.points[-1].state, TimeOptions(dt=1e-3, t_max=3e-3))
     # a rough u, on which CG with the DCT preconditioner is refused
@@ -61,7 +67,10 @@ def test_every_factorization_uses_the_shared_ordering(recorded, variant):
 
     per_module = Counter(name for name, _ in recorded)
     assert all(kwargs == LU_OPTIONS for _, kwargs in recorded)
-    assert set(per_module) - {"timestepping"} == {"analytics", "continuation", "newton"}
+    # newton_solve steps on the corrector, and v_block_eigenvalue and
+    # bifurcation_data use the fast solvers, so neither newton.splu nor
+    # analytics.splu is called
+    assert set(per_module) - {"timestepping"} == {"continuation"}
     # the smooth run near the branch solves its prey systems by CG with the
     # DCT preconditioner, so the one prey LU is the rough step's; the
     # predator and linear prey matrices are never factored, since
