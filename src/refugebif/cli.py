@@ -40,30 +40,9 @@ _RUNTIME_ERRORS = (
 FIG1_LAMBDAS = (0.5, 1.0, 1.5)
 
 
-def _variants(choice: str | None) -> tuple[Diffusion, ...]:
-    if choice is None or choice == "both":
-        return (Diffusion.NONLINEAR, Diffusion.LINEAR)
-    return (Diffusion(choice),)
-
-
 def _say(quiet: bool, message: str) -> None:
     if not quiet:
         print(message)
-
-
-def _kernel_stats(cfg: RunConfig, variant: Diffusion):
-    params = replace(cfg.params, variant=variant)
-    data = analytics.bifurcation_data(cfg.grid, params)
-    kern = data.kernel_profile
-    return data, (
-        variant.value,
-        data.mu_lambda,
-        data.slope_at_onset,
-        data.omega1_area,
-        float(kern.values.min()),
-        float(kern.values.max()),
-        integrate(kern, Region.ALL),
-    )
 
 
 def run_analyze(cfg: RunConfig, variants, quiet=False) -> None:
@@ -71,9 +50,19 @@ def run_analyze(cfg: RunConfig, variants, quiet=False) -> None:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for variant in variants:
-        data, row = _kernel_stats(cfg, variant)
-        rows.append(row)
+        data = analytics.bifurcation_data(cfg.grid, replace(cfg.params, variant=variant))
         kern = data.kernel_profile
+        rows.append(
+            (
+                variant.value,
+                data.mu_lambda,
+                data.slope_at_onset,
+                data.omega1_area,
+                float(kern.values.min()),
+                float(kern.values.max()),
+                integrate(kern, Region.ALL),
+            )
+        )
         write_csv(
             out / f"kernel_{variant.value}.csv",
             ["x", "y", "value"],
@@ -95,30 +84,24 @@ def run_analyze(cfg: RunConfig, variants, quiet=False) -> None:
     _say(quiet, f"wrote {out / 'analytics.csv'}")
 
 
-def _branch_rows(branch: continuation.Branch):
-    lam = branch.params.lam
-    for p in branch.points:
-        yield (
+def _write_branch(out: Path, branch: continuation.Branch) -> Path:
+    path = out / f"branch_{branch.variant.value}_lambda_{fmt(branch.params.lam)}.csv"
+    rows = (
+        (
             branch.variant.value,
-            lam,
+            branch.params.lam,
             p.mu,
             p.avg_v,
             p.max_v,
             p.min_u,
             p.newton_iters,
         )
-
-
-_BRANCH_HEADER = ["variant", "lambda", "mu", "avg_v", "max_v", "min_u", "newton_iters"]
-
-
-def _write_branch(out: Path, branch: continuation.Branch) -> Path:
-    name = f"branch_{branch.variant.value}_lambda_{fmt(branch.params.lam)}.csv"
-    footer = []
-    if branch.truncated:
-        footer.append(f"truncated: {branch.diagnostic}")
-    write_csv(out / name, _BRANCH_HEADER, _branch_rows(branch), footer)
-    return out / name
+        for p in branch.points
+    )
+    footer = [f"truncated: {branch.diagnostic}"] if branch.truncated else []
+    header = ["variant", "lambda", "mu", "avg_v", "max_v", "min_u", "newton_iters"]
+    write_csv(path, header, rows, footer)
+    return path
 
 
 def _branch_series(branch: continuation.Branch) -> svgplot.Series:
@@ -176,13 +159,6 @@ def run_reproduce_fig1(cfg: RunConfig, variants, quiet=False) -> None:
     _run_branches(paper, FIG1_LAMBDAS, variants, "fig1.svg", quiet)
 
 
-def _initial_state(cfg: RunConfig) -> State:
-    grid = cfg.grid
-    u = ScalarField.constant(grid, cfg.initial.u, Region.ALL)
-    v = ScalarField.constant(grid, cfg.initial.v, Region.EXTERIOR)
-    return State(u, v)
-
-
 def _sim_row(t: float, state: State, clamped_fraction: float):
     grid = state.grid
     area = grid.n_cells * grid.cell_area
@@ -203,7 +179,10 @@ def run_simulate(cfg: RunConfig, variants, quiet=False) -> None:
     out.mkdir(parents=True, exist_ok=True)
     for variant in variants:
         params = replace(cfg.params, variant=variant)
-        initial = _initial_state(cfg)
+        initial = State(
+            ScalarField.constant(cfg.grid, cfg.initial.u, Region.ALL),
+            ScalarField.constant(cfg.grid, cfg.initial.v, Region.EXTERIOR),
+        )
         rows = [_sim_row(0.0, initial, 0.0)]
         n_slots = cfg.grid.n_cells + cfg.grid.n_exterior
         clamped_total = 0
@@ -223,9 +202,21 @@ def run_simulate(cfg: RunConfig, variants, quiet=False) -> None:
             path,
             ["t", "avg_u", "avg_v", "min_u", "max_v", "clamped_fraction"],
             rows,
-            [f"steady: {'true' if steady else 'false'}"],
+            [f"steady: {fmt(steady)}"],
         )
         _say(quiet, f"wrote {path} (steady={steady})")
+
+
+# subcommand -> (help, runner)
+_COMMANDS = {
+    "analyze": ("emit closed-form onset data (CSV)", run_analyze),
+    "trace": ("trace the positive branch in mu (CSV, optional SVG)", run_trace),
+    "simulate": ("integrate the parabolic system in time (CSV)", run_simulate),
+    "reproduce-fig1": (
+        "trace branches for lambda = 0.5, 1.0, 1.5 with c = m = 1",
+        run_reproduce_fig1,
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,12 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("analyze", "emit closed-form onset data (CSV)"),
-        ("trace", "trace the positive branch in mu (CSV, optional SVG)"),
-        ("simulate", "integrate the parabolic system in time (CSV)"),
-        ("reproduce-fig1", "trace branches for lambda = 0.5, 1.0, 1.5 with c = m = 1"),
-    ):
+    for name, (help_text, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", type=Path, default=None, help="JSON config file")
         cmd.add_argument("--out", type=Path, default=None, help="output directory")
@@ -257,34 +243,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: exit 0, or 2 for a bad config or parameter, 1 for a
+    failed computation, each with one ``error:`` line on stderr."""
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.out is not None:
             cfg = replace(cfg, output=replace(cfg.output, directory=str(args.out)))
-        if args.command == "simulate" and args.variant is None:
+        if args.variant is None and args.command == "simulate":
             variants = (cfg.params.variant,)
+        elif args.variant in (None, "both"):
+            variants = (Diffusion.NONLINEAR, Diffusion.LINEAR)
         else:
-            variants = _variants(args.variant)
-    except _CONFIG_ERRORS as exc:
+            variants = (Diffusion(args.variant),)
+        _COMMANDS[args.command][1](cfg, variants, args.quiet)
+    except _CONFIG_ERRORS + _RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        if args.command == "analyze":
-            run_analyze(cfg, variants, args.quiet)
-        elif args.command == "trace":
-            run_trace(cfg, variants, args.quiet)
-        elif args.command == "simulate":
-            run_simulate(cfg, variants, args.quiet)
-        else:
-            run_reproduce_fig1(cfg, variants, args.quiet)
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _RUNTIME_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _CONFIG_ERRORS) else 1
     return 0
 
 

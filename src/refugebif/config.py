@@ -17,7 +17,6 @@ from .continuation import ContinuationOptions
 from .errors import ConfigError
 from .geometry import Grid, build_grid
 from .model import ModelParams
-from .newton import NewtonOptions
 from .timestepping import TimeOptions
 
 DEFAULT_REFUGE_BOX = (0.375, 0.375, 0.625, 0.625)
@@ -155,7 +154,8 @@ def parse_config(data: dict) -> RunConfig:
     # block -> the RunConfig fields it sets, with their defaults
     blocks = {
         "params": {"params": ModelParams(lam=1.0, mu=0.4, c=1.0, m=1.0, b=1.0)},
-        "newton": {"newton": NewtonOptions()},
+        # the newton block tunes the continuation corrector, over its defaults
+        "newton": {"newton": ContinuationOptions().corrector},
         "continuation": {"continuation": ContinuationOptions(), "mu_min": DEFAULT_MU_MIN},
         "time": {"time": TimeOptions(), "initial": InitialData()},
         "output": {"output": OutputConfig()},
@@ -163,10 +163,7 @@ def parse_config(data: dict) -> RunConfig:
     opts = {}
     for where, defaults in blocks.items():
         opts.update(_read(data.get(where, {}), where, defaults))
-    newton = opts.pop("newton")
-    if "newton" in data:
-        # an explicit newton block tunes the continuation corrector
-        opts["continuation"] = replace(opts["continuation"], corrector=newton)
+    opts["continuation"] = replace(opts["continuation"], corrector=opts.pop("newton"))
     return RunConfig(grid=grid, **opts)
 
 

@@ -107,8 +107,11 @@ class Branch:
     params: ModelParams
     points: tuple[BranchPoint, ...]
     onset: BifurcationData
-    truncated: bool = False
-    diagnostic: str = ""
+    diagnostic: str = ""  # why the branch stops short of mu_min; "" if it does not
+
+    @property
+    def truncated(self) -> bool:
+        return bool(self.diagnostic)
 
     @property
     def mus(self) -> np.ndarray:
@@ -357,15 +360,14 @@ def trace_branch(
          [onset.slope_at_onset * s1]]
     )
     y = np.concatenate([np.full(n_cells, params.lam), np.zeros(grid.n_exterior), [mu_l]])
-    ys, points = [], []
+    points = []
     for k in (1, 2):
         seed = attempt(y + delta, avg_row, 0.0, k * s1)
         if seed is None:
             raise NumericalError(
                 f"failed to land on the positive branch at avg_v={k * s1:g}"
             )
-        y = seed[0]
-        ys.append(y)
+        y_prev, y = y, seed[0]
         points.append(make_point(*seed))
     if points[1].mu >= points[0].mu:
         raise NumericalError("seed points do not descend in mu; onset data inconsistent")
@@ -377,7 +379,6 @@ def trace_branch(
     def weighted_norm(dy):
         return float(np.sqrt(area_weight * (dy[:-1] @ dy[:-1]) + dy[-1] ** 2))
 
-    truncated = False
     diagnostic = ""
     ds = opts.ds_initial_factor * mu_l
     ds_max = opts.ds_max_factor * mu_l
@@ -385,18 +386,13 @@ def trace_branch(
 
     while points[-1].mu > mu_min:
         if len(points) >= opts.max_points:
-            truncated = True
             diagnostic = f"point budget ({opts.max_points}) exhausted"
             break
-        tangent = ys[-1] - ys[-2]
+        tangent = y - y_prev
         tangent /= weighted_norm(tangent)
-        if tangent[-1] >= 0.0:
-            truncated = True
-            diagnostic = "secant tangent stopped descending in mu"
-            break
 
         while True:
-            y_pred = ys[-1] + ds * tangent
+            y_pred = y + ds * tangent
             if y_pred[-1] > mu_min:
                 c_row, c_mu = area_weight * tangent[:-1], float(tangent[-1])
                 accepted = attempt(
@@ -406,14 +402,13 @@ def trace_branch(
                 # final step, also in place of a step that corrected past
                 # mu_min: from the last point, a zero row with c_mu = 1 pins
                 # mu to mu_min exactly; failing that, creep closer first
-                accepted = attempt(np.append(ys[-1][:-1], mu_min), land_row, 1.0, mu_min)
-            if accepted is not None and accepted[0][-1] < ys[-1][-1]:
+                accepted = attempt(np.append(y[:-1], mu_min), land_row, 1.0, mu_min)
+            if accepted is not None and accepted[0][-1] < y[-1]:
                 break
             accepted = None
             ds *= 0.5
             if ds < opts.ds_min:
-                truncated = True
-                near = f"near mu={ys[-1][-1]:g}"
+                near = f"near mu={y[-1]:g}"
                 if dead_zone is None:
                     diagnostic = f"corrector failed at the minimum step {near}"
                 else:
@@ -423,11 +418,8 @@ def trace_branch(
         if accepted is None:
             break
 
-        y_new, iters = accepted
-        ys.append(y_new)
-        points.append(make_point(y_new, iters))
-        if y_new[-1] <= mu_min:
-            break
+        y_prev, (y, iters) = y, accepted
+        points.append(make_point(y, iters))
         if iters <= opts.grow_iters:
             ds = min(2.0 * ds, ds_max)
 
@@ -437,7 +429,6 @@ def trace_branch(
         params=params,
         points=tuple(points),
         onset=onset,
-        truncated=truncated,
         diagnostic=diagnostic,
     )
 

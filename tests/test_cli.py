@@ -6,9 +6,10 @@ import xml.dom.minidom
 
 import pytest
 
+from refugebif import continuation
 from refugebif.cli import main
 from refugebif.config import load_config, parse_config
-from refugebif.errors import ConfigError
+from refugebif.errors import ConfigError, NumericalError
 
 from conftest import REFUGE_BOX
 
@@ -61,6 +62,9 @@ class TestConfig:
         assert cfg.continuation.corrector.max_iters == 20
         # without the block the corrector keeps its bounded default
         assert parse_config({}).continuation.corrector.max_iters == 12
+        # a partial block keeps the corrector's other defaults
+        partial = parse_config({"newton": {"tol_residual": 1e-9}}).continuation.corrector
+        assert partial.tol_residual == 1e-9 and partial.max_iters == 12
 
     @pytest.mark.parametrize(
         "block,values",
@@ -168,6 +172,23 @@ class TestTrace:
         main(["trace", "--config", str(cfg_b), "--quiet"])
         for name in ("branch_nonlinear_lambda_1.0.csv", "branch_linear_lambda_1.0.csv", "trace.svg"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_mu_min_above_onset_exits_2(self, tmp_path, capsys):
+        # mu_lambda = 0.5 here; trace_branch refuses mu_min at or above it
+        cfg = write_config(tmp_path, continuation={"mu_min": 0.6})
+        assert main(["trace", "--config", str(cfg), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not list(tmp_path.glob("out/branch_*.csv"))
+
+    def test_numerical_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        def failing(*args):
+            raise NumericalError("corrector diverged")
+
+        monkeypatch.setattr(continuation, "trace_branch", failing)
+        cfg = write_config(tmp_path)
+        assert main(["trace", "--config", str(cfg), "--quiet"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: corrector diverged"]
 
 
 class TestSimulate:

@@ -1,6 +1,8 @@
 """Branch tracing, onset detection, and cross-variant comparison."""
 
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -249,6 +251,31 @@ class TestTraceBranch:
         branch = trace_branch(refuge_grid_16, make_params(), 0.08)
         assert branch.truncated and len(branch.points) == 4
         assert branch.diagnostic.startswith("corrector failed at the minimum step near mu=")
+
+    def test_trace_keeps_only_the_secant_points(self, refuge_grid_16, monkeypatch):
+        # the secant reads the last two packed points; the branch points hold
+        # their own State copies, so earlier packed vectors must be freed
+        real = continuation._Corrector.solve
+        returned, most_alive = [], 0
+
+        def tracking(self, *args):
+            nonlocal most_alive
+            gc.collect()
+            most_alive = max(most_alive, sum(ref() is not None for ref in returned))
+            y, iters, ok = real(self, *args)
+            returned.append(weakref.ref(y))
+            return y, iters, ok
+
+        monkeypatch.setattr(continuation._Corrector, "solve", tracking)
+        branch = trace_branch(refuge_grid_16, make_params(Diffusion.LINEAR), 0.05)
+        assert len(branch.points) > 60
+        assert most_alive <= 3
+
+    def test_truncated_is_stated_by_the_diagnostic(self, branches_16):
+        branch = branches_16[Diffusion.LINEAR]
+        fields = (branch.variant, branch.params, branch.points, branch.onset)
+        assert not Branch(*fields).truncated
+        assert Branch(*fields, diagnostic="x").truncated
 
 
 class TestDetectOnset:
