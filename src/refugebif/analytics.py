@@ -74,13 +74,7 @@ def branch_slope(grid: Grid, params: ModelParams) -> float:
     """d(mu)/ds of the bifurcating branch at onset; always negative."""
     if grid.n_exterior == 0:
         raise GeometryError("exterior region is empty")
-    return _slope(grid, params, kernel_profile(grid, params))
-
-
-def _slope(grid: Grid, params: ModelParams, kern: ScalarField) -> float:
-    area = grid.n_exterior * grid.cell_area
-    saturation = (1.0 + params.m * params.lam) ** 2
-    return -params.c / (area * saturation) * integrate(kern, Region.EXTERIOR)
+    return bifurcation_data(grid, params).slope_at_onset
 
 
 def onset_transversality(grid: Grid, params: ModelParams) -> float:
@@ -93,11 +87,13 @@ def onset_transversality(grid: Grid, params: ModelParams) -> float:
 def bifurcation_data(grid: Grid, params: ModelParams) -> BifurcationData:
     """Bundle of onset quantities for one variant (used to seed continuation)."""
     kern = kernel_profile(grid, params)
+    area = grid.n_exterior * grid.cell_area
+    saturation = (1.0 + params.m * params.lam) ** 2
     return BifurcationData(
         mu_lambda=bifurcation_point(params),
         kernel_profile=kern,
-        slope_at_onset=_slope(grid, params, kern),
-        omega1_area=grid.n_exterior * grid.cell_area,
+        slope_at_onset=-params.c / (area * saturation) * integrate(kern, Region.EXTERIOR),
+        omega1_area=area,
     )
 
 

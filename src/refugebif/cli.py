@@ -116,10 +116,9 @@ def _branch_series(branch: continuation.Branch) -> svgplot.Series:
 
 
 def _run_branches(cfg: RunConfig, lambdas, variants, svg_name: str, quiet) -> None:
-    """Trace, write and plot one branch per variant for each lambda."""
-    out = Path(cfg.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
-    panels = []
+    """Trace one branch per variant for each lambda; then write and plot them
+    all, so that a failed trace leaves no file behind."""
+    traced = []
     for lam in lambdas:
         branches = []
         for variant in variants:
@@ -135,6 +134,11 @@ def _run_branches(cfg: RunConfig, lambdas, variants, svg_name: str, quiet) -> No
                 f"[{branch.points[-1].mu:g}, {branch.points[0].mu:g}]"
                 + (f" (truncated: {branch.diagnostic})" if branch.truncated else ""),
             )
+        traced.append((lam, branches))
+    out = Path(cfg.output.directory)
+    out.mkdir(parents=True, exist_ok=True)
+    panels = []
+    for lam, branches in traced:
         for branch in branches:
             _say(quiet, f"wrote {_write_branch(out, branch)}")
         panels.append(
@@ -175,8 +179,7 @@ def _sim_row(t: float, state: State, clamped_fraction: float):
 
 
 def run_simulate(cfg: RunConfig, variants, quiet=False) -> None:
-    out = Path(cfg.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
+    runs = []  # every run finishes before any file is written
     for variant in variants:
         params = replace(cfg.params, variant=variant)
         initial = State(
@@ -197,6 +200,10 @@ def run_simulate(cfg: RunConfig, variants, quiet=False) -> None:
         final, steady = timestepping.evolve_to_steady(
             params, initial, cfg.time, observer
         )
+        runs.append((variant, rows, steady))
+    out = Path(cfg.output.directory)
+    out.mkdir(parents=True, exist_ok=True)
+    for variant, rows, steady in runs:
         path = out / f"simulate_{variant.value}.csv"
         write_csv(
             path,

@@ -1,44 +1,21 @@
 """Pseudo-arclength tracing of the positive-solution branch in mu.
 
-The branch is seeded just below the onset mu_lambda with two points solved
-under the affine constraint avg_v = s (mu free), which steps off the
-predator-free curve without falling back into its Newton basin.  From there
-a secant predictor plus an arclength-constrained corrector walks the branch
-down to mu_min.  The last point is solved by the same corrector under the
-constraint mu = mu_min (a zero row with c_mu = 1), so it lands there exactly;
-this landing is taken once the predictor reaches mu_min, and also in place
-of a step whose corrector ends below it.
-Arclength is measured in the mesh-independent metric
-||(dU, dmu)||^2 = cell_area * |dU|^2 + dmu^2.
+trace_branch seeds two points under the constraint avg_v = s with mu free,
+walks down to mu_min by a secant predictor and an arclength corrector, and
+solves its last point under mu = mu_min, so that it lands there exactly.
+newton.newton_solve is that landing solve at a fixed mu.
 
-Each corrector iteration solves the bordered system A (dU, dmu) = -(f, g),
-A = [[J, f_mu], [c, c_mu]], by block elimination (Keller's bordering
-lemma): an LU of the Jacobian J gives J a = -f and J b = f_mu in one
-two-column solve, then dmu = (-g - c.a) / (c_mu - c.b), dU = a - dmu * b.
-The corrector keeps the last LU of J it made on the branch and uses that
-elimination as a right preconditioner for GMRES on A, started from the
-eliminated step (Uecker, Wetzel & Rademacher 2014 reuse factors the same
-way).  J changes little from one iterate or point to the next, so a few
-iterations with the stale LU replace a fresh LU, which costs many solves;
-GMRES forms an iterate only when its Givens estimate of the residual could
-pass the guard.  Every step is guarded, since J is singular at the onset and the
-seeds sit just below it: a step is kept only if it is finite and its true
-bordered residual is within the larger of 1e-10 |(f, g)| and the round-off
-floor ROUNDOFF_FACTOR eps |J| |d| in the max-norm.  A step that GMRES
-cannot bring under the guard within GMRES_ITERS iterations is solved again
-with a fresh LU of J: by the eliminated step itself, which almost always
-passes, or else after one GMRES iteration, which refines it.  Failing that
-too, or if J will not factor, it is solved with an LU of the bordered
-matrix (Govaerts 2000, ch. 3).
-
-newton.newton_solve takes its steps from the same corrector, with mu
-pinned by the landing's zero row.  So the LUs here, of J and of the
-bordered matrix, are the package's only ones besides the IMEX prey LU in
-timestepping.  Each is ordered by minimum degree on the pattern of
-J^T + J with SuperLU's SymmetricMode (geometry.LU_OPTIONS): J is
-structurally symmetric, and this factor has about half the entries of a
-COLAMD one.  Pivoting is not given up: the pivot threshold stays at 1, so
-a diagonal pivot is taken only when it is also the largest in its column.
+_Corrector runs damped Newton on the bordered map [residual(U, mu);
+c.U + c_mu mu - target].  A trial with mu < 0 is inadmissible, as is one
+that takes 1 + m u to its floor, so backtracking shortens it.  Each step solves
+the bordered system by Keller's block elimination with an LU of J.  Since J
+is singular at the onset, a step is kept only if its true bordered residual
+is within STEP_RTOL of |(f, g)| or at the round-off floor.  The routes,
+each tried when the one before fails the guard: GMRES_ITERS iterations of
+GMRES preconditioned by the last kept LU of J (Uecker, Wetzel & Rademacher
+2014; Saad & Schultz 1986); a fresh LU of J, refined by REFINE_ITERS
+iteration; an LU of the bordered matrix (Govaerts 2000, ch. 3).  README's
+"Numerical design notes" give the metric, the formulas and the LU ordering.
 """
 
 from __future__ import annotations
@@ -49,7 +26,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .analytics import BifurcationData, bifurcation_data
-from .errors import ComparisonError, EstimationError, GeometryError, NumericalError, ParameterError
+from .errors import (
+    ComparisonError, EstimationError, GeometryError, NumericalError, ParameterError,
+    SingularResponseError,
+)
 from .geometry import (
     LU_OPTIONS, ROUNDOFF_FACTOR, Grid, exterior_connected, release_free_memory, row_sum_norm,
     splu,
@@ -150,18 +130,22 @@ class _Corrector:
         self._lu = None  # the last LU of J that gave a kept step
 
     def solve(self, y0, c_row, c_mu, c_target):
-        """Return (y, iterations, converged); the constraint is affine in y."""
+        """Return (y, iterations, history, diagnostic): the last iterate and
+        the stop record of _damped_newton.  The constraint is affine in y, and
+        a trial with mu < 0 is inadmissible."""
         grid, params = self.grid, self.params
 
         def fun(y):
+            if not y[-1] >= 0.0:
+                raise SingularResponseError(f"mu reached {y[-1]:.3e}")
             f = residual(replace(params, mu=y[-1]), State.unpack(grid, y[:-1]))
             g = float(c_row @ y[:-1] + c_mu * y[-1] - c_target)
             return np.concatenate([f, [g]])
 
-        y, _, history, _ = _damped_newton(
+        y, _, history, diagnostic = _damped_newton(
             y0, fun, lambda y, fg: self.step(y, fg, c_row, c_mu), self.opts
         )
-        return y, len(history) - 1, history[-1] <= self.opts.tol_residual
+        return y, len(history) - 1, history, diagnostic
 
     def step(self, y, fg, c_row, c_mu):
         """Newton step of the bordered map at y, whose value there is fg."""
@@ -333,7 +317,8 @@ def trace_branch(
     def attempt(y0, c_row, c_mu, c_target):
         """(y, iterations) if the corrector lands on a positive state, else None."""
         nonlocal dead_zone
-        y, iters, ok = corrector.solve(y0, c_row, c_mu, c_target)
+        y, iters, history, _ = corrector.solve(y0, c_row, c_mu, c_target)
+        ok = history[-1] <= opts.corrector.tol_residual
         cls, _ = classify_state(State.unpack(grid, y[:-1]))
         u = y[:n_cells]
         dead_zone = float(np.mean(u < ZERO_THRESHOLD)) if ok and u.min() < ZERO_THRESHOLD else None
@@ -441,9 +426,7 @@ def solve_at_mu(branch: Branch, mu: float, opts: NewtonOptions | None = None):
     if not branch.points:
         raise EstimationError("branch has no points")
     nearest = min(branch.points, key=lambda p: abs(p.mu - mu))
-    return newton_solve(
-        replace(branch.params, mu=mu), nearest.state, opts or NewtonOptions()
-    )
+    return newton_solve(replace(branch.params, mu=mu), nearest.state, opts)
 
 
 def detect_onset(branch: Branch, n_points: int = 5) -> float:

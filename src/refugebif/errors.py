@@ -10,7 +10,7 @@ class ParameterError(ValueError):
 
 
 class SingularResponseError(ArithmeticError):
-    """Holling-II denominator 1 + m*u fell below the safe floor."""
+    """An iterate left the admissible region: 1 + m*u at or below the safe floor, or mu < 0."""
 
 
 class GuessError(ValueError):

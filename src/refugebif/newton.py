@@ -10,7 +10,7 @@ import numpy as np
 from .errors import GuessError, ParameterError, SingularResponseError
 # splu is not called here; it stays bound because perfbench/tracing.py wraps it
 from .geometry import Grid, Region, ScalarField, splu
-from .model import ModelParams, State, residual
+from .model import ModelParams, State
 from . import analytics
 
 # max-norm threshold below which a component counts as identically zero
@@ -116,12 +116,11 @@ def newton_solve(
 ) -> tuple[State, NewtonReport]:
     """Solve residual(params, .) = 0 by damped Newton from ``initial``.
 
-    Each step is the continuation corrector's guarded step with mu pinned
-    (a zero constraint row, c_mu = 1, so its mu part is exactly 0): GMRES
-    preconditioned by the last LU of J, then a fresh LU, then the bordered
-    LU.  Failures (singular Jacobian, stalled backtracking, inadmissible
-    iterates) are reported through the returned :class:`NewtonReport`,
-    never raised.
+    This is the continuation corrector's solve with mu pinned by the
+    landing constraint (a zero row, c_mu = 1, target mu), so every step's mu
+    part is exactly 0 and mu stays ``params.mu``.  Failures (singular
+    Jacobian, stalled backtracking, inadmissible iterates) are reported
+    through the returned :class:`NewtonReport`, never raised.
     """
     from .continuation import _Corrector  # continuation imports this module
 
@@ -129,18 +128,13 @@ def newton_solve(
     grid = initial.grid
     corrector = _Corrector(grid, params, opts)
     zero_row = np.zeros(grid.n_cells + grid.n_exterior)
-
-    def fun(x):
-        return residual(params, State.unpack(grid, x))
-
-    def solve(x, f):
-        return corrector.step(np.append(x, params.mu), np.append(f, 0.0), zero_row, 1.0)[:-1]
-
     try:
-        x, _, history, diagnostic = _damped_newton(initial.pack(), fun, solve, opts)
+        y, _, history, diagnostic = corrector.solve(
+            np.append(initial.pack(), params.mu), zero_row, 1.0, params.mu
+        )
     finally:
         corrector.release()
-    out = State.unpack(grid, x)
+    out = State.unpack(grid, y[:-1])
     cls, positivity = classify_state(out)
     return out, NewtonReport(
         converged=history[-1] <= opts.tol_residual,

@@ -1,44 +1,23 @@
 """Semi-implicit (IMEX) integrator for the parabolic predator-prey system.
 
 Diffusion is implicit with coefficients frozen at the current step (prey
-flux div(u^n grad u^{n+1}), predator d * L v^{n+1}); the reaction terms
-stay explicit.  Fixed points of one step are exactly the
-discrete steady states of the model residual, independent of dt.
-The stepper works on full-grid arrays, u and v, with v zero on the refuge
-as in State; nothing is gathered or scattered per step.
+flux div(u^n grad u^{n+1}), predator d L v^{n+1}) and the reactions are
+explicit, so the fixed points of a step are the discrete steady states for
+any dt.  The stepper works on full-grid arrays, with v zero on the refuge.
 
-The linear variant's prey matrix I/dt - L and the predator matrix
-I/dt - d L_ext are constant, and neither is factored:
-geometry.shifted_laplacian_solver solves the first by a DCT-II transform,
-which diagonalises it, and the second by the same transform with a
-capacitance-matrix correction for the faces cut by the refuge, applied in
-transform space (kept by the grid).
-The nonlinear prey matrix A = I/dt - div(ubar grad .) changes every step
-but slowly, since u moves by O(dt); it is kept as five diagonals rewritten
-in place.  |A|_inf is summed with the diagonals: on u >= 0, as on every
-clamped step, the off-diagonals are <= 0, so the column sums subtract them
-and take no absolute values.  Each step solves A x = b by conjugate
-gradients with a kept preconditioner, started from the extrapolation
-3u - 3u_1 + u_2 of the prey states of the last steps (2u - u_1 with one
-kept), and accepts x only when the true residual is at the round-off floor
-a direct solve reaches, |b - A x|_inf <= 10 eps (|A|_inf |x|_inf + |b|_inf).
-CG updates its residual recursively and forms the true one only when the
-recursive one passes that floor; if the true one does not, CG goes on from
-it with the search direction reset.  A refresh, as on a stepper's first
-step, first builds the DCT solve of I/dt - mean(u) L (geometry.dct_solver),
-exact for a uniform u and close while u is smooth (Concus & Golub 1973).
-Only when CG with that fresh preconditioner needs more than REFRESH_ITERS
-iterations, or is refused, is A built in CSC form and factored, and its LU
-kept in its place; the next refresh tries the DCT again.  Since the LU is factored either way, that CG stops after
-REFRESH_ITERS + 1 iterations.  A solve with a kept preconditioner that
-needed more than REFRESH_ITERS iterations is accepted and the next step
-refreshes.  With no acceptance within MAX_CG_ITERS, or a curvature p.Ap
-that is not positive and finite (unclamped, A can be indefinite), the step
-refreshes at once, and if the fresh DCT is refused too, falls back to the
-LU of A and a direct solve.  evolve_to_steady drops the preconditioner
-before it returns and gives the free heap pages of the factors it dropped
-back (geometry.release_free_memory), so that they do not add to the
-caller's next allocations.
+The constant matrices, I/dt - L for the linear prey and I/dt - d L_ext for
+the predator, are solved by geometry.shifted_laplacian_solver and never
+factored.  The nonlinear prey matrix A = I/dt - div(ubar grad .) is kept as
+five diagonals, rewritten in place each step.  A x = b is solved by
+conjugate gradients with a kept preconditioner, from an extrapolation of
+the last prey states, and x is accepted at the round-off floor of a direct
+solve.  A refresh tries the DCT solve at the mean u first (Concus & Golub
+1973) and factors A only when CG with it needs more than REFRESH_ITERS
+iterations or is refused.  No acceptance within MAX_CG_ITERS, or a
+curvature that is not positive and finite, refreshes at once and, failing
+that, solves directly with the LU of A.  evolve_to_steady drops the
+preconditioner before it returns (geometry.release_free_memory).  README's
+"Numerical design notes" give the formulas and the references.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracing  # noqa: E402
 from conftest import REFUGE_BOX  # noqa: E402
-from refugebif import continuation, newton  # noqa: E402
+from refugebif import continuation  # noqa: E402
 from refugebif.analytics import bifurcation_data  # noqa: E402
 from refugebif.geometry import Region, ScalarField, build_grid  # noqa: E402
 from refugebif.model import Diffusion, ModelParams, State  # noqa: E402
@@ -16,7 +16,7 @@ from refugebif.timestepping import TimeOptions, evolve_to_steady  # noqa: E402
 
 def test_tracer_install_rebinds_and_uninstall_restores():
     bound = [(owner, attr) for owner, attr, *_ in tracing._targets()]
-    bound += [(newton, "residual"), (continuation, "residual"), (continuation, "jacobian")]
+    bound += [(continuation, "residual"), (continuation, "jacobian")]
     originals = [getattr(owner, attr) for owner, attr in bound]
     tracer = tracing.Tracer()
     try:

@@ -6,10 +6,10 @@ import xml.dom.minidom
 
 import pytest
 
-from refugebif import continuation
+from refugebif import continuation, timestepping
 from refugebif.cli import main
 from refugebif.config import load_config, parse_config
-from refugebif.errors import ConfigError, NumericalError
+from refugebif.errors import ConfigError, NumericalError, StepError
 
 from conftest import REFUGE_BOX
 
@@ -228,6 +228,21 @@ class TestSimulate:
         assert (out / "simulate_linear.csv").exists()
         assert not (out / "simulate_nonlinear.csv").exists()
 
+    def test_failed_second_run_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        real, calls = timestepping.evolve_to_steady, []
+
+        def failing_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise StepError("step failed")
+            return real(*args)
+
+        monkeypatch.setattr(timestepping, "evolve_to_steady", failing_second)
+        cfg = write_config(tmp_path, time={"t_max": 0.5})
+        assert main(["simulate", "--config", str(cfg), "--variant", "both", "--quiet"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: step failed"]
+        assert len(calls) == 2 and not list(tmp_path.glob("out/*"))
+
 
 class TestReproduceFig1:
     def test_six_branch_files_and_svg(self, tmp_path):
@@ -244,3 +259,18 @@ class TestReproduceFig1:
         # paper parameters c = m = 1 are forced even if the config disagrees
         mus = [float(r[2]) for r in read_csv(out / "branch_nonlinear_lambda_0.5.csv")[1]]
         assert abs(mus[0] - 1.0 / 3.0) < 0.01
+
+    def test_failed_third_trace_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        real, calls = continuation.trace_branch, []
+
+        def failing_third(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise NumericalError("corrector diverged")
+            return real(*args)
+
+        monkeypatch.setattr(continuation, "trace_branch", failing_third)
+        cfg = write_config(tmp_path, continuation={"mu_min": 0.25})
+        assert main(["reproduce-fig1", "--config", str(cfg), "--quiet"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: corrector diverged"]
+        assert len(calls) == 3 and not list(tmp_path.glob("out/*"))

@@ -135,10 +135,10 @@ class TestTraceBranch:
         real, landed_mus = continuation._Corrector.solve, []
 
         def recording(self, y0, c_row, c_mu, c_target):
-            y, iters, ok = real(self, y0, c_row, c_mu, c_target)
-            if ok:
+            y, iters, history, diagnostic = real(self, y0, c_row, c_mu, c_target)
+            if history[-1] <= self.opts.tol_residual:
                 landed_mus.append(y[-1])
-            return y, iters, ok
+            return y, iters, history, diagnostic
 
         monkeypatch.setattr(continuation._Corrector, "solve", recording)
         mu_min = 1e-3
@@ -243,14 +243,33 @@ class TestTraceBranch:
         calls = []
 
         def failing_after_four(self, *args):
-            y, iters, ok = real(self, *args)
-            calls.append(ok)
-            return y, iters, ok and len(calls) <= 4
+            y, iters, history, diagnostic = real(self, *args)
+            calls.append(history)
+            return y, iters, history if len(calls) <= 4 else [np.inf], diagnostic
 
         monkeypatch.setattr(continuation._Corrector, "solve", failing_after_four)
         branch = trace_branch(refuge_grid_16, make_params(), 0.08)
         assert branch.truncated and len(branch.points) == 4
         assert branch.diagnostic.startswith("corrector failed at the minimum step near mu=")
+
+    def test_a_trial_below_mu_zero_is_inadmissible(self, refuge_grid_16):
+        # a landing on mu = -0.1 from mu = 0.05: every full step sets mu < 0,
+        # which backtracking refuses like any inadmissible trial instead of
+        # raising ParameterError; a start below mu = 0 is reported as such
+        from refugebif.model import semi_trivial_state
+
+        opts = ContinuationOptions().corrector
+        corrector = continuation._Corrector(refuge_grid_16, make_params(), opts)
+        zero_row = np.zeros(refuge_grid_16.n_cells + refuge_grid_16.n_exterior)
+        y0 = np.append(semi_trivial_state(refuge_grid_16, 1.0).pack(), 0.05)
+        y, iters, history, _ = corrector.solve(y0, zero_row, 1.0, -0.1)
+        assert iters == opts.max_iters and 0.0 <= y[-1] < 0.05
+        assert np.all(np.diff(history) < 0.0) and history[-1] > opts.tol_residual
+        y0[-1] = -1e-3
+        y, iters, history, diagnostic = corrector.solve(y0, zero_row, 1.0, 0.0)
+        assert (iters, history) == (0, [np.inf]) and y[-1] == -1e-3
+        assert diagnostic == "initial state inadmissible: mu reached -1.000e-03"
+        corrector.release()
 
     def test_trace_keeps_only_the_secant_points(self, refuge_grid_16, monkeypatch):
         # the secant reads the last two packed points; the branch points hold
@@ -262,9 +281,9 @@ class TestTraceBranch:
             nonlocal most_alive
             gc.collect()
             most_alive = max(most_alive, sum(ref() is not None for ref in returned))
-            y, iters, ok = real(self, *args)
+            y, iters, history, diagnostic = real(self, *args)
             returned.append(weakref.ref(y))
-            return y, iters, ok
+            return y, iters, history, diagnostic
 
         monkeypatch.setattr(continuation._Corrector, "solve", tracking)
         branch = trace_branch(refuge_grid_16, make_params(Diffusion.LINEAR), 0.05)

@@ -128,6 +128,41 @@ class TestNewtonSolve:
         assert not rep.converged
         assert "inadmissible" in rep.diagnostic
 
+    @pytest.mark.parametrize(
+        "seed, stop", [(2, ""), (1, "backtracking stalled"), (None, "initial state inadmissible")]
+    )
+    def test_is_damped_newton_on_the_pinned_corrector_step(self, refuge_grid_16, seed, stop):
+        # newton_solve runs the corrector's bordered solve with mu pinned; it
+        # must match, bit for bit, damped Newton on the unbordered residual
+        # whose step is the corrector's with a zero row and c_mu = 1
+        from refugebif.continuation import _Corrector
+        from refugebif.newton import _damped_newton
+
+        grid, p, opts = refuge_grid_16, make_params(mu=0.3), NewtonOptions()
+        if seed is None:
+            u, v = np.full(grid.n_cells, -2.0), np.zeros(grid.n_cells)
+        else:
+            rng = np.random.default_rng(seed)
+            u, v = rng.uniform(0.0, 2.0, grid.n_cells), np.zeros(grid.n_cells)
+            v[grid.exterior_cells] = rng.uniform(0.0, 1.0, grid.n_exterior)
+        start = State(ScalarField(grid, u), ScalarField(grid, v, Region.EXTERIOR))
+        corrector = _Corrector(grid, p, opts)
+        zero_row = np.zeros(grid.n_cells + grid.n_exterior)
+
+        def step(x, f):
+            return corrector.step(np.append(x, p.mu), np.append(f, 0.0), zero_row, 1.0)[:-1]
+
+        ref, _, history, diagnostic = _damped_newton(
+            start.pack(), lambda x: residual(p, State.unpack(grid, x)), step, opts
+        )
+        corrector.release()
+        solved, rep = newton_solve(p, start, opts)
+        assert diagnostic.startswith(stop)
+        assert solved.pack().tobytes() == ref.tobytes()
+        assert rep.residual_history == tuple(history) and rep.diagnostic == diagnostic
+        assert rep.iterations == len(history) - 1
+        assert rep.converged == (stop == "")
+
 
 class TestInitialGuess:
     def test_s_zero_is_semi_trivial(self, refuge_grid_16):
