@@ -47,6 +47,10 @@ MAX_CG_ITERS = 12
 
 @dataclass(frozen=True)
 class TimeOptions:
+    """Step size, horizon and steady test of evolve_to_steady.  The explicit
+    reactions bound ``dt`` by the state: at small mu a large ``dt`` can clamp
+    the prey to 0 everywhere and settle on the prey-free state."""
+
     dt: float = 1e-3
     t_max: float = 500.0
     steady_tol: float = 1e-8
@@ -122,6 +126,8 @@ class _Stepper:
         self.grid = grid
         self.dt = dt
         self._precond = None  # solve() of the kept prey preconditioner (nonlinear)
+        # v/den and the prey and predator right-hand sides, rewritten each step
+        self._v_den, self._prey_rhs, self._pred_rhs = np.empty((3, grid.n_cells))
         self.pred_solve = shifted_laplacian_solver(grid, 1.0 / dt, params.d, Region.EXTERIOR)
         if params.variant is Diffusion.LINEAR:
             self.prey_solve = shifted_laplacian_solver(grid, 1.0 / dt, 1.0)
@@ -218,9 +224,13 @@ class _Stepper:
         """One IMEX step on full-grid arrays, v zero on the refuge (so that
         predation vanishes there, as b does); returns (u_new, v_new)."""
         params, dt = self.params, self.dt
-        v_den = v / _holling_denominator(params, u)
-        # u/dt + lam u - u^2 - b u v / den
-        rhs = u * ((1.0 / dt + params.lam) - u - params.b * v_den)
+        v_den, rhs, pred_rhs = self._v_den, self._prey_rhs, self._pred_rhs
+        np.divide(v, _holling_denominator(params, u), out=v_den)
+        # u/dt + lam u - u^2 - b u v / den, with b v / den in pred_rhs for now
+        np.multiply(params.b, v_den, out=pred_rhs)
+        np.subtract(1.0 / dt + params.lam, u, out=rhs)
+        rhs -= pred_rhs
+        rhs *= u
         if self.prey_solve is not None:
             u_new = self.prey_solve(rhs)
         else:
@@ -229,7 +239,10 @@ class _Stepper:
             except RuntimeError as exc:
                 raise StepError(f"implicit diffusion solve failed: {exc}") from exc
         # v/dt - mu v + c u v / den
-        v_new = self.pred_solve((1.0 / dt - params.mu) * v + params.c * (u * v_den))
+        np.multiply(u, v_den, out=pred_rhs)
+        pred_rhs *= params.c
+        pred_rhs += np.multiply(1.0 / dt - params.mu, v, out=v_den)
+        v_new = self.pred_solve(pred_rhs)
         return u_new, v_new
 
 
@@ -257,7 +270,9 @@ def evolve_to_steady(
     Hitting t_max first is reported through the flag, not an error.  The
     optional ``observer(step_index, t, state, clamped_cells)`` is called
     after every step.  Runs clamping more than 0.1% of cell-steps are
-    flagged with a RuntimeWarning.
+    flagged with a RuntimeWarning, and so are runs that end with u = 0
+    everywhere from u > 0, the sign of a ``dt`` above the state's bound
+    (TimeOptions): at n = 16 and mu = 1e-3, ``dt = 2`` does it.
     """
     opts = opts or TimeOptions()
     grid = initial.grid
@@ -298,5 +313,11 @@ def evolve_to_steady(
             "diffusion left its admissible regime",
             RuntimeWarning,
             stacklevel=2,
+        )
+    if initial.u.values.max() > 0.0 and not u.any():
+        warnings.warn(
+            f"prey died out: u = 0 in every cell at t = {t:g}, from u > 0; clamped "
+            f"undershoots did this, so dt = {opts.dt:g} is likely too large for this state",
+            RuntimeWarning, stacklevel=2,
         )
     return _state(grid, u, v), steady

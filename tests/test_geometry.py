@@ -169,7 +169,8 @@ class TestExteriorLaplacian:
 
 @pytest.mark.parametrize(
     "n_x,n_y,length",
-    [(16, 16, (1.0, 1.0)), (24, 24, (1.0, 1.0)), (32, 16, (2.0, 1.0)), (32, 16, (1.0, 1.0))],
+    [(16, 16, (1.0, 1.0)), (24, 24, (1.0, 1.0)), (32, 16, (2.0, 1.0)), (32, 16, (1.0, 1.0)),
+     (64, 64, (1.0, 1.0))],
 )
 @pytest.mark.parametrize("box", [None, REFUGE_BOX, (0.125, 0.25, 0.5, 0.75)])
 @pytest.mark.parametrize("dt", [1e-3, 0.05])
@@ -196,6 +197,14 @@ def test_shifted_laplacian_solver_matches_lu(n_x, n_y, length, box, dt, d, regio
     assert np.abs(b - a @ x).max() <= 20.0 * np.finfo(float).eps * scale
     x_lu = splu(a.tocsc(), **LU_OPTIONS).solve(b)
     assert np.abs(x - x_lu).max() <= 1e-12 * np.abs(x_lu).max()
+
+
+@pytest.mark.parametrize("n_x,n_y", [(16, 16), (32, 16), (64, 64)])
+def test_dct_basis_keeps_contiguous_transposes(n_x, n_y):
+    c_x, c_y, c_xt, c_yt, *_ = geometry._dct_basis(build_grid(n_x, n_y))
+    for c, ct in ((c_x, c_xt), (c_y, c_yt)):
+        assert ct.flags.c_contiguous
+        assert np.array_equal(ct, c.T)
 
 
 def l_shaped_grid(n=12):

@@ -1,5 +1,6 @@
 """Semi-implicit time stepping: equilibria, decay, steadiness, clamping."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -144,6 +145,20 @@ class TestStep:
         for dt in (0.0, np.nan, np.inf):
             with pytest.raises(ParameterError):
                 step(make_params(), positive_state(refuge_grid_16), dt)
+
+
+    @pytest.mark.parametrize("variant", BOTH)
+    def test_advance_returns_arrays_of_its_own(self, refuge_grid_16, variant):
+        # the stepper rewrites its right-hand sides in kept buffers each step;
+        # the arrays a step returns are never those buffers
+        stepper = _Stepper(make_params(variant), refuge_grid_16, 0.05)
+        init = random_state(refuge_grid_16, np.random.default_rng(4))
+        first = stepper.advance(init.u.values, init.v.values)
+        kept = [x.copy() for x in first]
+        second = stepper.advance(*first)
+        for x, x_kept, y in zip(first, kept, second):
+            assert np.array_equal(x, x_kept)
+            assert not np.shares_memory(x, y)
 
 
 class TestEvolveToSteady:
@@ -296,6 +311,29 @@ class TestEvolveToSteady:
         avg_v = on_branch.v.values[ext].mean()
         assert predicted <= 1e-5 * avg_v
         assert abs(final.v.values[ext].mean() - avg_v) <= 2.0 * predicted
+
+
+    @pytest.mark.parametrize(
+        "variant,dt,dies",
+        [(Diffusion.NONLINEAR, 2.0, True), (Diffusion.LINEAR, 2.0, True),
+         (Diffusion.LINEAR, 1.0, True), (Diffusion.NONLINEAR, 1.0, False)],
+    )
+    def test_a_run_that_kills_the_prey_warns(self, refuge_grid_16, variant, dt, dies):
+        # at mu = 1e-3 a large dt undershoots u, clamps it to 0 everywhere and
+        # lands in the prey-free state's basin; dt = 1 keeps the nonlinear
+        # run on the positive steady state
+        p, init = make_params(variant, mu=1e-3), positive_state(refuge_grid_16, 0.5, 0.1)
+        opts = TimeOptions(dt=dt, t_max=1e4)
+        if dies:
+            with pytest.warns(RuntimeWarning, match="prey died out"):
+                final, _ = evolve_to_steady(p, init, opts)
+            assert not final.u.values.any()
+        else:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                final, steady = evolve_to_steady(p, init, opts)
+            assert not [w for w in caught if "prey died out" in str(w.message)]
+            assert steady and final.u.values.max() > 0.0
 
 
 class TestStaleLuSolve:
