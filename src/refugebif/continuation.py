@@ -431,6 +431,8 @@ def solve_at_mu(branch: Branch, mu: float, opts: NewtonOptions | None = None):
 
 def detect_onset(branch: Branch, n_points: int = 5) -> float:
     """Estimate the onset mu by extrapolating (avg_v, mu) linearly to avg_v = 0."""
+    if n_points < 2:
+        raise EstimationError(f"onset extrapolation needs n_points >= 2, got {n_points}")
     pts = branch.points
     if len(pts) < 3:
         raise EstimationError(

@@ -32,7 +32,7 @@ import scipy.sparse as sp
 from .errors import ParameterError, StepError
 from .geometry import (
     LU_OPTIONS, ROUNDOFF_FACTOR, Grid, Region, ScalarField, _interior_faces, dct_solver,
-    neumann_laplacian, release_free_memory, shifted_laplacian_solver, splu,
+    release_free_memory, shifted_laplacian_solver, splu,
 )
 from .model import Diffusion, ModelParams, State, _holling_denominator
 
@@ -137,25 +137,18 @@ class _Stepper:
             # A = I/dt - div(ubar grad .) as its diagonals at offsets (-n_x, -1, 0,
             # 1, n_x): row k holds A[j - offset_k, j] at column j, so -c on the
             # north, east, west and south face of cell j, and 0 off the grid
-            lap = neumann_laplacian(grid, Region.ALL).matrix
-            offsets = np.array([-grid.n_x, -1, 0, 1, grid.n_x])
-            self._a = sp.dia_matrix((np.zeros((5, grid.n_cells)), offsets), shape=lap.shape)
-            self._sums = np.empty(grid.n_cells)  # |A|'s column sums, and scratch
+            n = grid.n_cells
+            offsets = [-grid.n_x, -1, 0, 1, grid.n_x]
+            self._a = sp.dia_matrix((np.zeros((5, n)), offsets), shape=(n, n))
             (_, _, wx), (_, _, wy) = _interior_faces(grid, Region.ALL)
             # -c on a face is -(face mean of u) * weight; the 1/2 is folded in
             self._wx, self._wy = -0.5 * wx, -0.5 * wy
-            # the slot of each entry of the Laplacian's (symmetric) pattern
-            self._pattern = (lap.indices, lap.indptr)
-            cols = np.repeat(np.arange(grid.n_cells), np.diff(lap.indptr))
-            self._slots = np.searchsorted(offsets, cols - lap.indices) * grid.n_cells + cols
 
     def _write_diagonals(self, u: np.ndarray) -> float:
-        """Write A, with arithmetic face means of the frozen u, in place, and
-        return |A|_inf summed as geometry.row_sum_norm sums A's CSC columns:
-        the first stored entry plus the others, in row order."""
+        """Write A, with arithmetic face means of the frozen u, into its
+        diagonals in place, and return |A|_inf."""
         n_x = self.grid.n_x
         north, east, diag, west, south = self._a.data
-        sums = self._sums
         # -c on the x-face (j, j + 1) goes to east at j and to west at j + 1;
         # the sum across the end of a grid row is no face, and is zeroed
         np.add(u[:-1], u[1:], out=east[:-1])
@@ -168,28 +161,13 @@ class _Stepper:
         south[n_x:] = north[:-n_x]
         # 1/dt, plus c over the faces (j, q), plus c over the faces (p, j)
         np.subtract(1.0 / self.dt, np.add(east, north, out=diag), out=diag)
-        diag -= np.add(west, south, out=sums)
-        # the sums subtract the off-diagonals: on u >= 0 they are <= 0 and the
-        # diagonal is positive, so this adds their absolute values exactly;
-        # on a u with negatives, they are replaced by -|x| and the diagonal by |x|
-        data = self._a.data
+        diag -= west + south
         if u.min() < 0.0:
-            data = -np.abs(data)
-            data[2] *= -1.0
-        north, east, diag, west, south = data
-        np.subtract(diag, west, out=sums)
-        sums -= east
-        sums -= north
-        sums -= south
-        # columns 0 .. n_x - 1 have no south entry, and column 0 no west one
-        sums[1:n_x] = ((diag[1:n_x] - east[1:n_x]) - north[1:n_x]) - west[1:n_x]
-        sums[0] = diag[0] - (east[0] + north[0])
-        return float(sums.max())
-
-    def _prey_matrix(self, u: np.ndarray) -> sp.csc_matrix:
-        """A for the frozen u in CSC form, in the Laplacian's pattern."""
-        self._write_diagonals(u)
-        return sp.csc_matrix((self._a.data.ravel()[self._slots], *self._pattern), self._a.shape)
+            # a column of the diagonals is a column of A, with 0 off the grid
+            return float(np.abs(self._a.data).sum(axis=0).max())
+        # A is symmetric and its rows sum to 1/dt; on u >= 0 the off-diagonals
+        # are <= 0, so every row of |A| sums to 2 a_jj - 1/dt
+        return 2.0 * float(diag.max()) - 1.0 / self.dt
 
     def _solve_prey(self, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve the nonlinear prey system by CG with the kept preconditioner,
@@ -210,7 +188,7 @@ class _Stepper:
         solved = _preconditioned_cg(self._a, rhs, self._precond, x0, a_norm, REFRESH_ITERS + 1)
         if solved is not None and solved[1] <= REFRESH_ITERS:
             return solved[0]
-        self._precond = splu(self._prey_matrix(u), **LU_OPTIONS).solve
+        self._precond = splu(self._a.tocsc(), **LU_OPTIONS).solve
         return self._precond(rhs) if solved is None else solved[0]
 
     def release(self):
@@ -270,14 +248,16 @@ def evolve_to_steady(
     Hitting t_max first is reported through the flag, not an error.  The
     optional ``observer(step_index, t, state, clamped_cells)`` is called
     after every step.  Runs clamping more than 0.1% of cell-steps are
-    flagged with a RuntimeWarning, and so are runs that end with u = 0
-    everywhere from u > 0, the sign of a ``dt`` above the state's bound
-    (TimeOptions): at n = 16 and mu = 1e-3, ``dt = 2`` does it.
+    flagged with a RuntimeWarning.  A run from u > 0 stops, not steady and
+    with a RuntimeWarning, at the first step whose clamp leaves u = 0 in
+    every cell: the sign of a ``dt`` above the state's bound (TimeOptions);
+    at n = 16 and mu = 1e-3, ``dt = 2`` does it.
     """
     opts = opts or TimeOptions()
     grid = initial.grid
     stepper = _Stepper(params, grid, opts.dt)
     u, v = initial.u.values, initial.v.values
+    had_prey = u.max() > 0.0
 
     n_steps = int(np.floor(opts.t_max / opts.dt + 1e-12))
     n_slots = grid.n_cells + grid.n_exterior
@@ -301,6 +281,8 @@ def evolve_to_steady(
         u, v = u_new, v_new
         if observer is not None:
             observer(k, t, _state(grid, u, v), clamped)
+        if clamped and had_prey and not u.any():
+            break  # with u = 0 no later step moves u
         if change < opts.steady_tol:
             steady = True
             break
@@ -314,7 +296,7 @@ def evolve_to_steady(
             RuntimeWarning,
             stacklevel=2,
         )
-    if initial.u.values.max() > 0.0 and not u.any():
+    if had_prey and not u.any():
         warnings.warn(
             f"prey died out: u = 0 in every cell at t = {t:g}, from u > 0; clamped "
             f"undershoots did this, so dt = {opts.dt:g} is likely too large for this state",

@@ -319,6 +319,13 @@ class TestDetectOnset:
         with pytest.raises(EstimationError):
             detect_onset(short)
 
+    @pytest.mark.parametrize("n_points", [1, 0, -1])
+    def test_fewer_than_two_fit_points_rejected(self, branches_16, n_points):
+        # one point fits no line, and numpy would return a minimum-norm fit,
+        # 0.0 or a ValueError of its own
+        with pytest.raises(EstimationError, match="n_points >= 2"):
+            detect_onset(branches_16[Diffusion.NONLINEAR], n_points)
+
 
 class TestSlopeAtOnset:
     @pytest.mark.parametrize("variant", BOTH)
