@@ -31,8 +31,8 @@ from .errors import (
     SingularResponseError,
 )
 from .geometry import (
-    LU_OPTIONS, ROUNDOFF_FACTOR, Grid, exterior_connected, release_free_memory, row_sum_norm,
-    splu,
+    LU_OPTIONS, ROUNDOFF_FACTOR, Grid, csr_matvec, exterior_connected, release_free_memory,
+    row_sum_norm, splu,
 )
 from .model import Diffusion, ModelParams, State, jacobian, residual
 from .newton import (
@@ -204,10 +204,17 @@ class _Bordered:
         self.jac, self.f_mu, self.c_row, self.c_mu, self.fg = jac, f_mu, c_row, c_mu, fg
         self._floor = ROUNDOFF_FACTOR * np.finfo(float).eps * row_sum_norm(jac)
         self._rtol = STEP_RTOL * np.abs(fg).max()
+        self._f_mu_d = np.empty(f_mu.size)  # f_mu d_mu, rewritten by each product
 
-    def matvec(self, d):
-        d_u, d_mu = d[:-1], d[-1]
-        return np.append(self.jac @ d_u + self.f_mu * d_mu, self.c_row @ d_u + self.c_mu * d_mu)
+    def matvec(self, d, out=None):
+        """A d, written into ``out`` if it is given: J d_u, plus f_mu d_mu, over
+        c d_u + c_mu d_mu."""
+        out = np.empty(d.size) if out is None else out
+        d_u, d_mu, f = d[:-1], d[-1], out[:-1]
+        csr_matvec(self.jac, d_u, f)
+        f += np.multiply(self.f_mu, d_mu, out=self._f_mu_d)
+        out[-1] = self.c_row @ d_u + self.c_mu * d_mu
+        return out
 
     def tolerance(self, d_max):
         """The step guard's bound on |A d + fg|_inf for a step with |d|_inf = d_max."""
@@ -218,17 +225,22 @@ class _Bordered:
         return np.abs(r).max() <= self.tolerance(np.abs(d).max()) and np.all(np.isfinite(d))
 
     def eliminator(self, lu):
-        """(d0, r -> A^-1 r) by block elimination with ``lu``, an LU of J or of
-        a nearby matrix (then both are approximate); the step d0 = A^-1 (-fg)
-        and J^-1 f_mu come from one two-column solve."""
+        """(d0, (r, out=None) -> A^-1 r) by block elimination with ``lu``, an LU
+        of J or of a nearby matrix (then both are approximate); A^-1 r is
+        written into ``out`` if it is given.  The step d0 = A^-1 (-fg) and
+        J^-1 f_mu come from one two-column solve."""
         a, b = lu.solve(np.column_stack([-self.fg[:-1], self.f_mu])).T
         den = self.c_mu - self.c_row @ b
 
-        def combine(a, r_mu):
+        def combine(a, r_mu, out=None):
+            """(a - d_mu b, d_mu) for a = J^-1 r_u."""
+            out = np.empty(a.size + 1) if out is None else out
             d_mu = (r_mu - self.c_row @ a) / den
-            return np.append(a - d_mu * b, d_mu)
+            np.subtract(a, np.multiply(d_mu, b, out=out[:-1]), out=out[:-1])
+            out[-1] = d_mu
+            return out
 
-        return combine(a, -self.fg[-1]), lambda r: combine(lu.solve(r[:-1]), r[-1])
+        return combine(a, -self.fg[-1]), lambda r, out=None: combine(lu.solve(r[:-1]), r[-1], out)
 
 
 def _guarded_gmres(system: _Bordered, lu, max_iters: int):
@@ -241,12 +253,16 @@ def _guarded_gmres(system: _Bordered, lu, max_iters: int):
     rotations give |g_k+1| = |r_k|_2 (Saad & Schultz 1986), and iterate k is
     formed only when |g_k+1| is within 2 sqrt(size) (|r|_2 <= sqrt(size) |r|_inf,
     2 for round-off) times the guard at |d0|_inf + sum |y_i| |z_i|_inf >= |d_k|_inf.
+    Products and preconditioned vectors are written into arrays made once
+    per call; the step returned is a new array, never one of them.
     """
     from scipy.linalg.lapack import dtrtrs  # loaded with scipy.sparse.linalg, at the first LU
 
     d0, apply_inverse = system.eliminator(lu)
+    w, tmp = np.empty((2, d0.size))  # A z_k (or A d), and the terms taken from it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = system.matvec(d0) + system.fg
+        r = system.matvec(d0, w)
+        r += system.fg
         if system.accepts(d0, r):
             return d0
         beta = np.linalg.norm(r)
@@ -256,19 +272,20 @@ def _guarded_gmres(system: _Bordered, lu, max_iters: int):
         basis, z = np.empty((max_iters + 1, d0.size)), np.empty((max_iters, d0.size))
         hess, g = np.zeros((max_iters + 1, max_iters)), np.zeros(max_iters + 1)
         cos, sin, z_max = np.zeros((3, max_iters))
-        basis[0], g[0] = -r / beta, beta
+        np.divide(r, -beta, out=basis[0])
+        g[0] = beta
         slack, d0_max = 2.0 * np.sqrt(d0.size), np.abs(d0).max()
         for k in range(max_iters):
-            z[k] = apply_inverse(basis[k])
-            z_max[k] = np.abs(z[k]).max()
-            w, h = system.matvec(z[k]), hess[:, k]
+            apply_inverse(basis[k], z[k])
+            z_max[k] = np.abs(z[k], out=tmp).max()
+            w, h = system.matvec(z[k], w), hess[:, k]
             for i in range(k + 1):
                 h[i] = basis[i] @ w
-                w -= h[i] * basis[i]
+                w -= np.multiply(basis[i], h[i], out=tmp)
             h[k + 1] = np.linalg.norm(w)
             if not np.isfinite(h[k + 1]):
                 return None
-            basis[k + 1] = w / h[k + 1]
+            np.divide(w, h[k + 1], out=basis[k + 1])
             for i in range(k):  # the earlier rotations, then a new one
                 h[i : i + 2] = cos[i] * h[i] + sin[i] * h[i + 1], cos[i] * h[i + 1] - sin[i] * h[i]
             rho = np.hypot(h[k], h[k + 1])
@@ -277,7 +294,9 @@ def _guarded_gmres(system: _Bordered, lu, max_iters: int):
             y = dtrtrs(hess[: k + 1, : k + 1], g[: k + 1])[0]  # R y = g
             if abs(g[k + 1]) <= slack * system.tolerance(d0_max + np.abs(y) @ z_max[: k + 1]):
                 d = d0 + y @ z[: k + 1]
-                if system.accepts(d, system.matvec(d) + system.fg):
+                r = system.matvec(d, w)
+                r += system.fg
+                if system.accepts(d, r):
                     return d
     return None
 

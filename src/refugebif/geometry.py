@@ -18,6 +18,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import GeometryError, ParameterError
 
@@ -53,8 +54,8 @@ class Grid:
     Cells are indexed flat as ``k = j * n_x + i`` (x fastest).
     ``exterior_cells`` lists EXTERIOR flat indices in increasing order.
     Instances are immutable after construction; ``_cache`` only memoizes
-    grid operators, the pattern of J, the DCT transforms and the last
-    shifted solver per region.
+    grid operators, the pattern of J, the DCT transforms, the last
+    shifted solver per region and the last predation field.
     """
 
     n_x: int
@@ -134,8 +135,21 @@ def csr_positions(mat: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.
 
 def row_sum_norm(mat: sp.csr_matrix) -> float:
     """max_i sum_j |a_ij| of a CSR matrix (the column sums of a CSC one); an
-    empty row sums an entry of the next one, which leaves the max as it is."""
-    return float(np.add.reduceat(np.append(np.abs(mat.data), 0.0), mat.indptr[:-1]).max())
+    empty row sums an entry of the next one, which leaves the max as it is,
+    and an empty last row a 0 appended for it."""
+    mags = np.abs(mat.data)
+    if mat.indptr[-2] == mags.size:
+        mags = np.append(mags, 0.0)
+    return float(np.add.reduceat(mags, mat.indptr[:-1]).max())
+
+
+def csr_matvec(mat: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``mat @ x`` into ``out`` and return it, with the bits of SciPy's
+    product: this is the kernel that ``@`` runs into a zeroed array, called
+    without its dispatch and without a new array (SciPy's private binding)."""
+    out.fill(0.0)
+    _sparsetools.csr_matvec(*mat.shape, mat.indptr, mat.indices, mat.data, x, out)
+    return out
 
 
 def splu(a, **options):
@@ -435,10 +449,20 @@ def integrate(f: ScalarField, region: Region = Region.ALL) -> float:
 
 def predation_field(grid: Grid, b: float) -> ScalarField:
     """Attack-efficiency field: b outside the refuge, exactly 0 inside it."""
-    if not (b > 0.0 and math.isfinite(b)):
-        raise ParameterError(f"attack efficiency b must be positive and finite, got {b}")
-    vals = np.where(grid.refuge_mask, 0.0, float(b))
-    return ScalarField(grid, vals, Region.ALL)
+    return ScalarField(grid, predation_values(grid, b), Region.ALL)
+
+
+def predation_values(grid: Grid, b: float) -> np.ndarray:
+    """The values of ``predation_field(grid, b)``, read-only; the grid keeps
+    the last b's."""
+    cached = grid._cache.get("predation")
+    if cached is None or cached[0] != b:
+        if not (b > 0.0 and math.isfinite(b)):
+            raise ParameterError(f"attack efficiency b must be positive and finite, got {b}")
+        vals = np.where(grid.refuge_mask, 0.0, float(b))
+        vals.setflags(write=False)
+        cached = grid._cache["predation"] = (b, vals)
+    return cached[1]
 
 
 def exterior_connected(grid: Grid) -> bool:

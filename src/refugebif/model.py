@@ -25,7 +25,7 @@ from .geometry import (
     csr_positions,
     exterior_laplacian_block,
     neumann_laplacian,
-    predation_field,
+    predation_values,
 )
 
 # floor for the Holling-II denominator 1 + m*u; physically unreachable for u >= 0
@@ -135,7 +135,7 @@ def residual(params: ModelParams, state: State) -> np.ndarray:
     u = state.u.values
     v = state.v.values
     den = _holling_denominator(params, u)
-    bf = predation_field(grid, params.b).values
+    bf = predation_values(grid, params.b)
     lap = neumann_laplacian(grid, Region.ALL).matrix
     if params.variant is Diffusion.NONLINEAR:
         dispersal = 0.5 * (lap @ (u * u))
@@ -143,12 +143,13 @@ def residual(params: ModelParams, state: State) -> np.ndarray:
         dispersal = lap @ u
     prey = dispersal + params.lam * u - u * u - bf * u * v / den
 
-    lap_ext = neumann_laplacian(grid, Region.EXTERIOR).matrix
+    # the exterior block's rows are L_ext's exterior rows, entry for entry
     ext = grid.exterior_cells
+    v_e = v[ext]
     predator = (
-        (lap_ext @ v)[ext]
-        - params.mu * v[ext]
-        + params.c * u[ext] * v[ext] / den[ext]
+        exterior_laplacian_block(grid) @ v_e
+        - params.mu * v_e
+        + params.c * u[ext] * v_e / den[ext]
     )
     return np.concatenate([prey, predator])
 
@@ -156,33 +157,40 @@ def residual(params: ModelParams, state: State) -> np.ndarray:
 def jacobian(params: ModelParams, state: State) -> SparseOperator:
     """Derivative of :func:`residual` in the packed unknowns.  Its values are
     written into one CSR pattern per grid, for both variants, cached with the
-    data positions of each term; zeros stay stored (SciPy's sums drop them)."""
+    data positions of each term and the entries that are the same for every
+    J: L (the linear variant's) and the exterior block.  Zeros stay stored
+    (SciPy's sums drop them)."""
     grid = state.grid
     ext, n = grid.exterior_cells, grid.n_cells
     lap = neumann_laplacian(grid, Region.ALL).matrix
     cached = grid._cache.get("jacobian_pattern")
     if cached is None:
-        block = exterior_laplacian_block(grid).tocoo()
-        cells, k, coo = np.arange(n), n + np.arange(ext.size), lap.tocoo()
+        block = exterior_laplacian_block(grid)
+        cells, k, coo, block_coo = np.arange(n), n + np.arange(ext.size), lap.tocoo(), block.tocoo()
         terms = dict(lap=(coo.row, coo.col), u_diag=(cells, cells), uv=(ext, k), vu=(k, ext),
-                     block=(n + block.row, n + block.col), v_diag=(k, k))
+                     block=(n + block_coo.row, n + block_coo.col), v_diag=(k, k))
         rows, cols = (np.concatenate(ix) for ix in zip(*terms.values()))
         template = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(k.size + n,) * 2)
         for shared in (template.indices, template.indptr):  # by every J: keep them intact
             shared.setflags(write=False)
-        cached = template, {name: csr_positions(template, *ix) for name, ix in terms.items()}
-        grid._cache["jacobian_pattern"] = cached
-    template, at = cached
+        at = {name: csr_positions(template, *ix) for name, ix in terms.items()}
+        constant = np.zeros(template.nnz)
+        constant[at["lap"]] = lap.data
+        constant[at["block"]] = block.data
+        cached = grid._cache["jacobian_pattern"] = template, at, constant
+    template, at, constant = cached
 
+    # the terms in the order of a J built from zeros, so that the sums on the
+    # diagonals, L's or the block's plus the reaction's, keep their bits
     u, v = state.u.values, state.v.values
     den = _holling_denominator(params, u)
     den2 = den * den
-    bf = predation_field(grid, params.b).values
-    data = np.zeros(template.nnz)
-    data[at["lap"]] = lap.data * (u[lap.indices] if params.variant is Diffusion.NONLINEAR else 1.0)
-    data[at["u_diag"]] += params.lam - 2.0 * u - bf * v / den2
-    data[at["uv"]] = -bf[ext] * u[ext] / den[ext]
-    data[at["vu"]] = params.c * v[ext] / den2[ext]
-    data[at["block"]] = exterior_laplacian_block(grid).data
-    data[at["v_diag"]] += -params.mu + params.c * u[ext] / den[ext]
+    u_e, v_e, den_e = u[ext], v[ext], den[ext]
+    data = constant.copy()
+    if params.variant is Diffusion.NONLINEAR:
+        data[at["lap"]] = lap.data * u[lap.indices]
+    data[at["u_diag"]] += params.lam - 2.0 * u - predation_values(grid, params.b) * v / den2
+    data[at["uv"]] = -params.b * u_e / den_e
+    data[at["vu"]] = params.c * v_e / den2[ext]
+    data[at["v_diag"]] += -params.mu + params.c * u_e / den_e
     return SparseOperator(sp.csr_matrix((data, template.indices, template.indptr), template.shape))

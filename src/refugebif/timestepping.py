@@ -43,6 +43,9 @@ CLAMP_WARN_FRACTION = 1e-3
 # after MAX_CG_ITERS; accept at geometry.ROUNDOFF_FACTOR times the round-off scale
 REFRESH_ITERS = 3
 MAX_CG_ITERS = 12
+# a prey right-hand side smaller than this in the max-norm is scaled up for
+# CG, whose products of two such vectors would underflow past about 1e-154
+TINY_RHS = 2.0**-500
 
 
 @dataclass(frozen=True)
@@ -83,9 +86,19 @@ def _preconditioned_cg(a, b: np.ndarray, solve, x0: np.ndarray, a_norm: float,
     not positive and finite.  ``k`` counts both the iterations and the
     ``solve`` calls (0 when ``x0`` already passes); ``x`` is never ``x0``
     itself.
+
+    Below |b|_inf = TINY_RHS, r.z and p.Ap would underflow.  CG then runs on
+    2^-e (b, x0), e the exponent that brings |b|_inf into [1/2, 1), and
+    returns 2^e times its x.  A power of two scales every product, sum and
+    test of CG exactly, so ``k`` and x are those of CG on (b, x0) in an
+    arithmetic without underflow, up to the rounding of x back to its scale.
     """
-    scale = ROUNDOFF_FACTOR * np.finfo(float).eps
     b_norm = max(b.max(), -b.min())
+    if 0.0 < b_norm < TINY_RHS:
+        e = math.frexp(b_norm)[1]
+        solved = _preconditioned_cg(a, np.ldexp(b, -e), solve, np.ldexp(x0, -e), a_norm, max_iters)
+        return None if solved is None else (np.ldexp(solved[0], e), solved[1])
+    scale = ROUNDOFF_FACTOR * np.finfo(float).eps
     x = x0.copy()
     r = b - a @ x
     true = True  # r is b - a x, not the recursive residual

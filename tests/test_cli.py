@@ -181,6 +181,21 @@ class TestTrace:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not list(tmp_path.glob("out/branch_*.csv"))
 
+    def test_unseeded_branch_exits_1(self, tmp_path, capsys):
+        # at lambda = 80 on this grid the corrector does not land the first
+        # seed point on the positive branch: the run's own failure, unpatched
+        cfg = write_config(
+            tmp_path,
+            geometry={"n": 16, "refuge_box": [0.125, 0.125, 0.875, 0.875]},
+            params={"lambda": 80.0},
+            continuation={"mu_min": 0.000988},
+        )
+        assert main(["trace", "--config", str(cfg), "--variant", "nonlinear", "--quiet"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: failed to land on the positive branch at avg_v=0.08"
+        ]
+        assert not (tmp_path / "out").exists()
+
     def test_numerical_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         def failing(*args):
             raise NumericalError("corrector diverged")

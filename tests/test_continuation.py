@@ -658,9 +658,9 @@ class TestStaleLuStep:
         def counting_eliminator(self, lu):
             d0, apply_inverse = eliminator(self, lu)
 
-            def counted(r):
+            def counted(r, out=None):
                 counts["iterations"] += 1
-                return apply_inverse(r)
+                return apply_inverse(r, out)
 
             return d0, counted
 
@@ -670,6 +670,64 @@ class TestStaleLuStep:
         # one check is the start's
         assert counts["iterations"] >= 2
         assert counts["checks"] - 1 < counts["iterations"]
+
+    @pytest.mark.parametrize("variant", BOTH)
+    def test_products_in_place_match_the_appended_formulas(self, refuge_grid_16, variant):
+        # A d and A^-1 r by block elimination, written into a given vector or
+        # a new one, have the bits of the formulas that append their parts
+        from refugebif import continuation
+        from refugebif.continuation import _Bordered
+        from refugebif.geometry import LU_OPTIONS
+
+        grid = refuge_grid_16
+        _, (_, y, fg, c_row, jac) = self.seed_systems(grid, variant)
+        f_mu = np.zeros(y.size - 1)
+        f_mu[grid.n_cells:] = -y[grid.n_cells:-1]
+        system = _Bordered(jac, f_mu, c_row, 0.3, fg)
+        lu = continuation.splu(jac.tocsc(), **LU_OPTIONS)
+        a0, b = lu.solve(np.column_stack([-fg[:-1], f_mu])).T
+        den = 0.3 - c_row @ b
+
+        def eliminated(a, r_mu):
+            d_mu = (r_mu - c_row @ a) / den
+            return np.append(a - d_mu * b, d_mu)
+
+        d0, apply_inverse = system.eliminator(lu)
+        assert np.array_equal(d0, eliminated(a0, -fg[-1]))
+        out = np.full(y.size, np.nan)
+        for d in np.random.default_rng(7).standard_normal((3, y.size)):
+            d_u, d_mu = d[:-1], d[-1]
+            product = np.append(jac @ d_u + f_mu * d_mu, c_row @ d_u + 0.3 * d_mu)
+            assert np.array_equal(system.matvec(d), product)
+            assert system.matvec(d, out) is out and np.array_equal(out, product)
+            inverse = eliminated(lu.solve(d_u), d_mu)
+            assert np.array_equal(apply_inverse(d), inverse)
+            assert apply_inverse(d, out) is out and np.array_equal(out, inverse)
+
+    def test_step_outlives_the_next_solve(self, refuge_grid_16):
+        # each call writes its products into arrays of its own, and the step
+        # it returns is none of them
+        import scipy.sparse as sp
+
+        from refugebif import continuation
+        from refugebif.continuation import GMRES_ITERS, _Bordered, _guarded_gmres
+        from refugebif.geometry import LU_OPTIONS
+
+        grid = refuge_grid_16
+        systems = []
+        for _, y, fg, c_row, jac in self.seed_systems(grid, Diffusion.NONLINEAR):
+            f_mu = np.zeros(y.size - 1)
+            f_mu[grid.n_cells:] = -y[grid.n_cells:-1]
+            systems.append(_Bordered(jac, f_mu, c_row, 0.0, fg))
+        # the previous seed's LU, and an LU of J + 0.1 I: both take iterations
+        stale = continuation.splu(systems[0].jac.tocsc(), **LU_OPTIONS)
+        shifted = continuation.splu(
+            (systems[0].jac + 0.1 * sp.identity(systems[0].jac.shape[0])).tocsc(), **LU_OPTIONS
+        )
+        step = _guarded_gmres(systems[1], stale, GMRES_ITERS)
+        kept = step.copy()
+        assert _guarded_gmres(systems[0], shifted, GMRES_ITERS) is not None
+        assert np.array_equal(step, kept)
 
     @pytest.mark.parametrize("variant", BOTH)
     def test_trace_matches_fresh_lu_per_step(self, refuge_grid_16, monkeypatch, variant):

@@ -121,6 +121,13 @@ class TestPredationField:
             predation_field(g, b)
 
 
+@pytest.mark.parametrize("order", [[0, 1, 2], [0, 2, 1], [1, 2, 0]])
+def test_row_sum_norm_over_empty_rows(order):
+    # an empty row in the middle, last (a 0 is appended for it) or first
+    a = sp.csr_matrix(np.array([[1.0, -2.0, 0.0], [0.0, 0.0, 0.0], [0.0, -4.0, 0.5]]))
+    assert row_sum_norm(a[order]) == 4.5
+
+
 @pytest.mark.parametrize("region", [Region.ALL, Region.EXTERIOR])
 class TestLaplacian:
     def test_constant_in_kernel(self, refuge_grid_16, region):

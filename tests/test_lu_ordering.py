@@ -138,12 +138,13 @@ def test_grid_caches_operators_only():
     newton.newton_solve(replace(p, mu=0.44), zeroed)
     # the IMEX predator solver is kept per region and the DCT transforms once
     # per grid, operators and no LU; the nonlinear prey's DCT preconditioner
-    # is the stepper's, not the grid's
+    # is the stepper's, not the grid's; the grid keeps the last b chi_ext
     assert set(grid._cache) == {
         ("laplacian", Region.ALL),
         ("laplacian", Region.EXTERIOR),
         "exterior_laplacian_block",
         "jacobian_pattern",
+        "predation",
         "dct_basis",
         ("shifted_laplacian_solver", Region.EXTERIOR),
     }

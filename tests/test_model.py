@@ -237,6 +237,41 @@ class TestJacobian:
             ) / (2.0 * h)
         assert np.abs(jac - fd).max() / np.abs(jac).max() < 1e-6
 
+    def test_kept_constants_follow_the_parameters(self):
+        # the grid keeps J's pattern with L and the exterior block in it, and
+        # the last predation field: after traces with another b, lambda or
+        # variant on one grid, J and the residual are a fresh grid's, bitwise
+        from dataclasses import replace
+
+        from refugebif.analytics import bifurcation_point
+        from refugebif.continuation import trace_branch
+
+        box = (0.25, 0.25, 0.5, 0.5)
+        grid = build_grid(8, refuge_box=box)
+        first = make_params()
+        for p in (first, replace(first, b=1.6), replace(first, lam=1.5),
+                  replace(first, variant=Diffusion.LINEAR, b=0.7)):
+            p = replace(p, mu=0.9 * bifurcation_point(p))
+            state = trace_branch(grid, p, p.mu).points[-1].state
+            again = State.unpack(build_grid(8, refuge_box=box), state.pack())
+            jac, fresh = jacobian(p, state).matrix, jacobian(p, again).matrix
+            np.testing.assert_array_equal(jac.data, fresh.data)
+            np.testing.assert_array_equal(residual(p, state), residual(p, again))
+
+    @pytest.mark.parametrize("variant", BOTH)
+    def test_csr_matvec_is_scipys_product(self, refuge_grid_16, variant):
+        # csr_matvec calls SciPy's private kernel: a SciPy that renames it or
+        # changes its arithmetic fails here
+        from refugebif.geometry import csr_matvec
+
+        rng = np.random.default_rng(3)
+        jac = jacobian(make_params(variant), random_state(refuge_grid_16, rng)).matrix
+        x = rng.standard_normal(jac.shape[1] + 1)
+        out = np.full(jac.shape[0] + 1, np.nan)
+        csr_matvec(jac, x[:-1], out[:-1])
+        np.testing.assert_array_equal(out[:-1], jac @ x[:-1])
+        assert np.isnan(out[-1])
+
     def test_v_block_action_at_semi_trivial(self, refuge_grid_16):
         # on a constant beta the v-block acts as (-mu + c*lam/(1+m*lam)) * beta
         g = refuge_grid_16

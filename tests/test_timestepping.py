@@ -498,6 +498,34 @@ class TestStaleLuSolve:
         for solve in preconditioners:
             assert _preconditioned_cg(a, rhs, solve, u, a_norm) is None
 
+    def test_a_vanishing_right_hand_side_is_solved_scaled(self, refuge_grid_16):
+        # at |b| ~ 1e-181, r.z and p.Ap would underflow to 0; CG runs on b and
+        # x0 scaled by a power of two, which it follows exactly
+        grid, dt = refuge_grid_16, 0.05
+        stepper = _Stepper(make_params(), grid, dt)
+        u = 0.8 + 0.02 * np.cos(2 * np.pi * grid.cell_x) * np.cos(np.pi * grid.cell_y)
+        rhs = np.random.default_rng(15).standard_normal(grid.n_cells)
+        a = prey_matrix(stepper, u)
+        solve = dct_solver(grid, 1.0 / dt, u.mean())
+        x, iters = _preconditioned_cg(a, rhs, solve, u, row_sum_norm(a))
+        tiny = 2.0**-600
+        x_tiny, iters_tiny = _preconditioned_cg(a, tiny * rhs, solve, tiny * u, row_sum_norm(a))
+        assert iters_tiny == iters > 0
+        assert np.array_equal(x_tiny, tiny * x)
+
+    def test_vanishing_prey_takes_no_lu(self, monkeypatch):
+        # u ~ 1e-160 on a grid without a refuge: each step's CG is scaled,
+        # and none falls back to an LU of the prey matrix
+        grid = build_grid(16)
+        factored = []
+        monkeypatch.setattr(
+            timestepping, "splu", lambda a, **kw: factored.append(1) or splu(a, **kw)
+        )
+        state = positive_state(grid, u0=1e-160)
+        final, _ = evolve_to_steady(make_params(mu=1e-3), state, TimeOptions(dt=0.05, t_max=1.0))
+        assert not factored
+        assert 0.0 < final.u.values.min() <= final.u.values.max() < 1e-150
+
     @pytest.mark.parametrize("precond", ["dct", "lu"])
     @pytest.mark.parametrize("seed", range(3))
     def test_acceptance_is_confirmed_on_the_true_residual(self, refuge_grid_16, precond, seed):
