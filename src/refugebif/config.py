@@ -34,6 +34,11 @@ class InitialData:
     u: float = 0.5
     v: float = 0.1
 
+    def __post_init__(self):
+        for key, value in (("initial_u", self.u), ("initial_v", self.v)):
+            if not value >= 0.0:
+                raise ConfigError(f"'time.{key}' must be non-negative, got {value!r}")
+
 
 @dataclass(frozen=True)
 class OutputConfig:

@@ -134,23 +134,30 @@ class _Corrector:
         the stop record of _damped_newton.  The constraint is affine in y, and
         a trial with mu < 0 is inadmissible."""
         grid, params = self.grid, self.params
+        last = None, None  # the y of the last fun call, and its (params, state)
 
         def fun(y):
+            nonlocal last
             if not y[-1] >= 0.0:
                 raise SingularResponseError(f"mu reached {y[-1]:.3e}")
-            f = residual(replace(params, mu=y[-1]), State.unpack(grid, y[:-1]))
+            last = y, (replace(params, mu=y[-1]), State.unpack(grid, y[:-1]))
+            f = residual(*last[1])
             g = float(c_row @ y[:-1] + c_mu * y[-1] - c_target)
             return np.concatenate([f, [g]])
 
-        y, _, history, diagnostic = _damped_newton(
-            y0, fun, lambda y, fg: self.step(y, fg, c_row, c_mu), self.opts
-        )
+        def step(y, fg):
+            # _damped_newton steps from the y of its last fun call, unchanged
+            return self.step(y, fg, c_row, c_mu, last[1] if last[0] is y else None)
+
+        y, _, history, diagnostic = _damped_newton(y0, fun, step, self.opts)
         return y, len(history) - 1, history, diagnostic
 
-    def step(self, y, fg, c_row, c_mu):
-        """Newton step of the bordered map at y, whose value there is fg."""
+    def step(self, y, fg, c_row, c_mu, unpacked=None):
+        """Newton step of the bordered map at y, whose value there is fg;
+        ``unpacked`` is (params at y's mu, the State of y), if made already."""
         grid = self.grid
-        jac = jacobian(replace(self.params, mu=y[-1]), State.unpack(grid, y[:-1])).matrix
+        params, state = unpacked or (replace(self.params, mu=y[-1]), State.unpack(grid, y[:-1]))
+        jac = jacobian(params, state).matrix
         # d(residual)/d(mu): only the predator rows depend on mu, via -mu*v
         f_mu = np.zeros(y.size - 1)
         f_mu[grid.n_cells:] = -y[grid.n_cells:-1]

@@ -152,6 +152,14 @@ def csr_matvec(mat: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray
     return out
 
 
+def dia_matvec(mat: sp.dia_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``csr_matvec`` for a DIA matrix: ``mat @ x`` written into ``out``, by
+    the kernel that ``@`` runs, with its bits and without its dispatch."""
+    out.fill(0.0)
+    _sparsetools.dia_matvec(*mat.shape, *mat.data.shape, mat.offsets, mat.data, x, out)
+    return out
+
+
 def splu(a, **options):
     """SciPy's sparse LU of the CSC matrix ``a`` (``splu(a, **LU_OPTIONS)``).
 
@@ -421,7 +429,7 @@ def _build_shifted_laplacian_solver(grid: Grid, alpha: float, d: float, region: 
         gram[:, f] = (left_t @ (inv_eig * (left @ s.reshape(shape) @ right_t)) @ right).ravel()[at]
         s[slot] = 0.0
     cap = np.linalg.inv(np.diag(1.0 / (d * w)) - gram)
-    refuge = grid.refuge_mask
+    refuge = np.flatnonzero(grid.refuge_mask)
 
     def solve_exterior(b):
         x_hat = c_y @ b.reshape(n_y, n_x) @ c_xt

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +33,7 @@ import scipy.sparse as sp
 from .errors import ParameterError, StepError
 from .geometry import (
     LU_OPTIONS, ROUNDOFF_FACTOR, Grid, Region, ScalarField, _interior_faces, dct_solver,
-    release_free_memory, shifted_laplacian_solver, splu,
+    dia_matvec, release_free_memory, shifted_laplacian_solver, splu,
 )
 from .model import Diffusion, ModelParams, State, _holling_denominator
 
@@ -64,14 +65,17 @@ class TimeOptions:
             raise ParameterError("dt > 0, steady_tol > 0 and t_max >= 0 required")
         if not all(math.isfinite(x) for x in (self.dt, self.t_max, self.steady_tol)):
             raise ParameterError("dt, t_max and steady_tol must be finite")
+        if not math.isfinite(self.t_max / self.dt):
+            raise ParameterError(f"t_max / dt = {self.t_max} / {self.dt} overflows")
 
 
-def _preconditioned_cg(a, b: np.ndarray, solve, x0: np.ndarray, a_norm: float,
+def _preconditioned_cg(matvec, b: np.ndarray, solve, x0: np.ndarray, a_norm: float,
                        max_iters: int = MAX_CG_ITERS):
     """Solve the symmetric system ``a x = b`` by CG preconditioned with
     ``solve``, an approximate inverse of ``a`` (the DCT solve of a constant
     coefficient matrix, or the LU solve of a nearby one) that returns a new
-    array, from the start ``x0``; ``a_norm`` is |a|_inf.
+    array, from the start ``x0``; ``matvec(x, out)`` writes ``a @ x`` into
+    ``out`` and returns it, and ``a_norm`` is |a|_inf.
 
     The residual is formed as b - a x0 once and then updated recursively,
     r -= alpha a p, which costs no product of its own.  The recursive
@@ -84,8 +88,9 @@ def _preconditioned_cg(a, b: np.ndarray, solve, x0: np.ndarray, a_norm: float,
     Returns ``(x, k)`` for the first iterate whose true residual passes, or
     None if none does within ``max_iters`` or a curvature p.Ap (or r.z) is
     not positive and finite.  ``k`` counts both the iterations and the
-    ``solve`` calls (0 when ``x0`` already passes); ``x`` is never ``x0``
-    itself.
+    ``solve`` calls (0 when ``x0`` already passes); ``x`` is a new array,
+    never ``x0`` itself.  Every product lands in one array made per call,
+    and the updates and max-norms go through a second one.
 
     Below |b|_inf = TINY_RHS, r.z and p.Ap would underflow.  CG then runs on
     2^-e (b, x0), e the exponent that brings |b|_inf into [1/2, 1), and
@@ -93,23 +98,25 @@ def _preconditioned_cg(a, b: np.ndarray, solve, x0: np.ndarray, a_norm: float,
     test of CG exactly, so ``k`` and x are those of CG on (b, x0) in an
     arithmetic without underflow, up to the rounding of x back to its scale.
     """
-    b_norm = max(b.max(), -b.min())
+    product, scratch = np.empty((2, b.size))
+    b_norm = np.abs(b, out=scratch).max()
     if 0.0 < b_norm < TINY_RHS:
         e = math.frexp(b_norm)[1]
-        solved = _preconditioned_cg(a, np.ldexp(b, -e), solve, np.ldexp(x0, -e), a_norm, max_iters)
+        solved = _preconditioned_cg(matvec, np.ldexp(b, -e), solve, np.ldexp(x0, -e), a_norm,
+                                    max_iters)
         return None if solved is None else (np.ldexp(solved[0], e), solved[1])
     scale = ROUNDOFF_FACTOR * np.finfo(float).eps
     x = x0.copy()
-    r = b - a @ x
+    r = np.subtract(b, matvec(x, product))
     true = True  # r is b - a x, not the recursive residual
     for k in range(max_iters + 1):
-        floor = scale * (a_norm * max(x.max(), -x.min()) + b_norm)
-        if max(r.max(), -r.min()) <= floor:
+        floor = scale * (a_norm * np.abs(x, out=scratch).max() + b_norm)
+        if np.abs(r, out=scratch).max() <= floor:
             if true:
                 return x, k
-            r = b - a @ x
+            np.subtract(b, matvec(x, product), out=r)
             true = True
-            if max(r.max(), -r.min()) <= floor:
+            if np.abs(r, out=scratch).max() <= floor:
                 return x, k
         if k == max_iters:
             return None
@@ -120,13 +127,13 @@ def _preconditioned_cg(a, b: np.ndarray, solve, x0: np.ndarray, a_norm: float,
         else:
             p *= rz / rz_old
             p += z
-        ap = a @ p
+        ap = matvec(p, product)
         curvature = p @ ap
         if not (rz > 0.0 and 0.0 < curvature < np.inf):
             return None
         alpha = rz / curvature
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(p, alpha, out=scratch)
+        r -= np.multiply(ap, alpha, out=scratch)
         true = False
         rz_old = rz
 
@@ -153,6 +160,9 @@ class _Stepper:
             n = grid.n_cells
             offsets = [-grid.n_x, -1, 0, 1, grid.n_x]
             self._a = sp.dia_matrix((np.zeros((5, n)), offsets), shape=(n, n))
+            self._matvec = partial(dia_matvec, self._a)
+            # the CG start, and west + south while the diagonals are written
+            self._x0 = np.empty(n)
             (_, _, wx), (_, _, wy) = _interior_faces(grid, Region.ALL)
             # -c on a face is -(face mean of u) * weight; the 1/2 is folded in
             self._wx, self._wy = -0.5 * wx, -0.5 * wy
@@ -174,7 +184,7 @@ class _Stepper:
         south[n_x:] = north[:-n_x]
         # 1/dt, plus c over the faces (j, q), plus c over the faces (p, j)
         np.subtract(1.0 / self.dt, np.add(east, north, out=diag), out=diag)
-        diag -= west + south
+        diag -= np.add(west, south, out=self._x0)
         if u.min() < 0.0:
             # a column of the diagonals is a column of A, with 0 off the grid
             return float(np.abs(self._a.data).sum(axis=0).max())
@@ -187,10 +197,15 @@ class _Stepper:
         refreshing it, by the DCT first and an LU if that is refused."""
         a_norm = self._write_diagonals(u)
         kept, self._kept = self._kept, (u, *self._kept[:1])
-        x0 = (3.0 * (u - kept[0]) + kept[1] if len(kept) == 2
-              else 2.0 * u - kept[0] if kept else u)
+        x0 = self._x0
+        if len(kept) == 2:  # 3 (u - u_1) + u_2
+            np.add(np.multiply(np.subtract(u, kept[0], out=x0), 3.0, out=x0), kept[1], out=x0)
+        elif kept:  # 2 u - u_1
+            np.subtract(np.multiply(u, 2.0, out=x0), kept[0], out=x0)
+        else:
+            x0 = u
         if self._precond is not None:
-            solved = _preconditioned_cg(self._a, rhs, self._precond, x0, a_norm)
+            solved = _preconditioned_cg(self._matvec, rhs, self._precond, x0, a_norm)
             if solved is not None:
                 if solved[1] > REFRESH_ITERS:
                     self._precond = None
@@ -198,7 +213,8 @@ class _Stepper:
         # the DCT replaces an old factor first, so that two are never alive at
         # once; past REFRESH_ITERS + 1 iterations the LU is factored anyway
         self._precond = dct_solver(self.grid, 1.0 / self.dt, max(float(u.mean()), 0.0))
-        solved = _preconditioned_cg(self._a, rhs, self._precond, x0, a_norm, REFRESH_ITERS + 1)
+        solved = _preconditioned_cg(self._matvec, rhs, self._precond, x0, a_norm,
+                                    REFRESH_ITERS + 1)
         if solved is not None and solved[1] <= REFRESH_ITERS:
             return solved[0]
         self._precond = splu(self._a.tocsc(), **LU_OPTIONS).solve
@@ -274,6 +290,7 @@ def evolve_to_steady(
 
     n_steps = int(np.floor(opts.t_max / opts.dt + 1e-12))
     n_slots = grid.n_cells + grid.n_exterior
+    diff = np.empty(grid.n_cells)  # the change of u, then of v, over a step
     clamped_total = 0
     steady = False
     t = 0.0
@@ -288,8 +305,8 @@ def evolve_to_steady(
         t = k * opts.dt
 
         change = max(
-            float(np.abs(u_new - u).max()),
-            float(np.abs(v_new - v).max()),
+            float(np.abs(np.subtract(u_new, u, out=diff), out=diff).max()),
+            float(np.abs(np.subtract(v_new, v, out=diff), out=diff).max()),
         ) / opts.dt
         u, v = u_new, v_new
         if observer is not None:

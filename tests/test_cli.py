@@ -9,7 +9,7 @@ import pytest
 from refugebif import continuation, timestepping
 from refugebif.cli import main
 from refugebif.config import load_config, parse_config
-from refugebif.errors import ConfigError, NumericalError, StepError
+from refugebif.errors import ConfigError, NumericalError, ParameterError, StepError
 
 from conftest import REFUGE_BOX
 
@@ -87,6 +87,27 @@ class TestConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "time,error",
+        [
+            ({"t_max": 1e300, "dt": 1e-300}, ParameterError),  # t_max / dt overflows
+            ({"initial_u": -0.5}, ConfigError),
+            ({"initial_v": -0.5}, ConfigError),
+        ],
+    )
+    def test_bad_time_block_exits_2(self, tmp_path, capsys, time, error):
+        cfg = write_config(tmp_path, time=time)
+        with pytest.raises(error):
+            load_config(cfg)
+        assert main(["simulate", "--config", str(cfg), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_initial_densities_accepted(self):
+        initial = parse_config({"time": {"initial_u": 0.0, "initial_v": 0.0}}).initial
+        assert (initial.u, initial.v) == (0.0, 0.0)
 
     def test_integral_float_accepted(self):
         assert parse_config({"geometry": {"n": 8.0}}).grid.n_x == 8

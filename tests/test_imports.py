@@ -60,6 +60,21 @@ assert final.v.values.max() > 0.0
     assert deferred_loaded_after(code, tmp_path) == []
 
 
+def test_nonlinear_time_stepping_factors_nothing(tmp_path):
+    # the prey CG's product kernel comes from scipy.sparse._sparsetools,
+    # which scipy.sparse loads, and a smooth run refreshes by the DCT
+    code = f"""
+import refugebif as rb
+grid = rb.build_grid(16, refuge_box={REFUGE_BOX!r})
+p = rb.ModelParams(lam=1.0, mu=0.4, c=1.0, m=1.0, b=1.0)
+start = rb.State(rb.ScalarField.constant(grid, 0.5),
+                 rb.ScalarField.constant(grid, 0.1, rb.Region.EXTERIOR))
+final, _ = rb.evolve_to_steady(p, start, rb.TimeOptions(dt=0.05, t_max=1.0))
+assert final.v.values.max() > 0.0
+"""
+    assert deferred_loaded_after(code, tmp_path) == []
+
+
 def test_tracing_loads_the_sparse_lu(tmp_path):
     code = f"""
 import refugebif as rb

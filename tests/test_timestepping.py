@@ -8,13 +8,13 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU, spsolve, splu
 
-from conftest import random_state, rough_u
+from conftest import REFUGE_BOX, random_state, rough_u
 from refugebif import timestepping
 from refugebif.continuation import solve_at_mu, trace_branch
 from refugebif.errors import ParameterError
 from refugebif.geometry import (
-    LU_OPTIONS, Region, ScalarField, build_grid, dct_solver, exterior_laplacian_block, integrate,
-    neumann_laplacian, predation_field, row_sum_norm,
+    LU_OPTIONS, Region, ScalarField, build_grid, dct_solver, dia_matvec, exterior_laplacian_block,
+    integrate, neumann_laplacian, predation_field, row_sum_norm,
 )
 from refugebif.model import (
     Diffusion, ModelParams, State, _holling_denominator, jacobian, residual, semi_trivial_state,
@@ -50,6 +50,12 @@ def direct_prey_solve(stepper, u, rhs):
     return splu(prey_matrix(stepper, u), **LU_OPTIONS).solve(rhs)
 
 
+def matvec(a):
+    """``_preconditioned_cg``'s product ``(x, out) -> a @ x in out`` for a
+    matrix, or a stand-in that defines ``@``."""
+    return lambda x, out: np.copyto(out, a @ x) or out
+
+
 def is_lu(solve):
     """Whether a preconditioner is an LU's solve rather than a DCT solve."""
     return isinstance(getattr(solve, "__self__", None), SuperLU)
@@ -58,7 +64,8 @@ def is_lu(solve):
 class TestOptions:
     @pytest.mark.parametrize(
         "kw", [dict(dt=0.0), dict(dt=-1.0), dict(steady_tol=0.0), dict(t_max=-1.0),
-               dict(dt=np.nan), dict(dt=np.inf), dict(t_max=np.inf), dict(steady_tol=np.inf)]
+               dict(dt=np.nan), dict(dt=np.inf), dict(t_max=np.inf), dict(steady_tol=np.inf),
+               dict(t_max=1e300, dt=1e-300)]
     )
     def test_invalid_rejected(self, kw):
         with pytest.raises(ParameterError):
@@ -402,7 +409,9 @@ class TestStaleLuSolve:
             a = prey_matrix(stepper, u)
             stepper._precond = splu(prey_matrix(stepper, stale), **LU_OPTIONS).solve
             x0 = stepper._precond(rhs)
-            assert _preconditioned_cg(a, rhs, stepper._precond, x0, row_sum_norm(a)) is None
+            assert _preconditioned_cg(
+                matvec(a), rhs, stepper._precond, x0, row_sum_norm(a)
+            ) is None
             # the refreshed DCT preconditioner is refused too, so the step
             # falls back to a direct solve
             fallback = stepper._solve_prey(u, rhs)
@@ -438,7 +447,7 @@ class TestStaleLuSolve:
         rhs = u / 0.05
         a = prey_matrix(stepper, u)
         lu = splu(prey_matrix(stepper, 1.001 * u), **LU_OPTIONS)
-        x, iters = _preconditioned_cg(a, rhs, lu.solve, lu.solve(rhs), row_sum_norm(a))
+        x, iters = _preconditioned_cg(matvec(a), rhs, lu.solve, lu.solve(rhs), row_sum_norm(a))
         assert 0 < iters <= timestepping.REFRESH_ITERS
         direct = splu(a, **LU_OPTIONS).solve(rhs)
         assert np.abs(x - direct).max() <= 1e-13 * np.abs(direct).max()
@@ -464,11 +473,31 @@ class TestStaleLuSolve:
                 products.append(1)
                 return a @ v
 
-        x, iters = _preconditioned_cg(Counting(), rhs, counting, x0, row_sum_norm(a))
+        x, iters = _preconditioned_cg(matvec(Counting()), rhs, counting, x0, row_sum_norm(a))
         assert iters == 0 and not calls and len(products) == 1
         assert x is not x0 and np.array_equal(x, start)
         x[:] = -1.0
         assert np.array_equal(x0, start)
+
+    def test_solutions_are_not_kept_buffers(self, refuge_grid_16):
+        # CG's products and updates, and the stepper's extrapolated start,
+        # go through kept arrays; a returned x is none of them, so later
+        # solves on the same stepper leave it as it was
+        grid, dt = refuge_grid_16, 0.05
+        stepper = _Stepper(make_params(), grid, dt)
+        u = 0.8 + 0.02 * np.cos(2 * np.pi * grid.cell_x) * np.cos(np.pi * grid.cell_y)
+        rhs = np.random.default_rng(16).standard_normal(grid.n_cells)
+        a_norm = stepper._write_diagonals(u)
+        solve = dct_solver(grid, 1.0 / dt, u.mean())
+        x, _ = _preconditioned_cg(stepper._matvec, rhs, solve, u, a_norm)
+        solved = [(x, x.copy())]
+        _preconditioned_cg(stepper._matvec, 2.0 * rhs, solve, x, a_norm)
+        for k in range(4):  # the starts u, then 2 u - u_1, then 3 (u - u_1) + u_2
+            x = stepper._solve_prey((1.0 + 0.01 * k) * u, rhs)
+            assert x is not stepper._x0
+            solved.append((x, x.copy()))
+        for x, copy in solved:
+            assert np.array_equal(x, copy)
 
     def test_both_preconditioners_accept_only_at_the_roundoff_floor(
         self, refuge_grid_16, monkeypatch
@@ -489,14 +518,14 @@ class TestStaleLuSolve:
         )
         eps = np.finfo(float).eps
         for solve in preconditioners:
-            x, iters = _preconditioned_cg(a, rhs, solve, u, a_norm)
+            x, iters = _preconditioned_cg(matvec(a), rhs, solve, u, a_norm)
             assert iters > 0
             floor = 10.0 * eps * (a_norm * np.abs(x).max() + np.abs(rhs).max())
             assert np.abs(rhs - a @ x).max() <= floor
             assert np.abs(x - direct).max() <= 1e-13 * np.abs(direct).max()
         monkeypatch.setattr(timestepping, "ROUNDOFF_FACTOR", 0.1)
         for solve in preconditioners:
-            assert _preconditioned_cg(a, rhs, solve, u, a_norm) is None
+            assert _preconditioned_cg(matvec(a), rhs, solve, u, a_norm) is None
 
     def test_a_vanishing_right_hand_side_is_solved_scaled(self, refuge_grid_16):
         # at |b| ~ 1e-181, r.z and p.Ap would underflow to 0; CG runs on b and
@@ -507,9 +536,11 @@ class TestStaleLuSolve:
         rhs = np.random.default_rng(15).standard_normal(grid.n_cells)
         a = prey_matrix(stepper, u)
         solve = dct_solver(grid, 1.0 / dt, u.mean())
-        x, iters = _preconditioned_cg(a, rhs, solve, u, row_sum_norm(a))
+        x, iters = _preconditioned_cg(matvec(a), rhs, solve, u, row_sum_norm(a))
         tiny = 2.0**-600
-        x_tiny, iters_tiny = _preconditioned_cg(a, tiny * rhs, solve, tiny * u, row_sum_norm(a))
+        x_tiny, iters_tiny = _preconditioned_cg(
+            matvec(a), tiny * rhs, solve, tiny * u, row_sum_norm(a)
+        )
         assert iters_tiny == iters > 0
         assert np.array_equal(x_tiny, tiny * x)
 
@@ -553,7 +584,7 @@ class TestStaleLuSolve:
                 products.append((v.copy(), out))
                 return out
 
-        solved = _preconditioned_cg(Perturbed(), rhs, solve, u, a_norm)
+        solved = _preconditioned_cg(matvec(Perturbed()), rhs, solve, u, a_norm)
         # the products of an iterate after the start: its true residuals
         near = 1e-6 * np.abs(direct).max()
         checks = [i for i, (v, _) in enumerate(products) if i and np.abs(v - direct).max() <= near]
@@ -579,15 +610,15 @@ class TestStaleLuSolve:
         calls = []
 
         class Counting:
-            def __init__(self, a):
-                self.a, self.products = a, 0
+            def __init__(self, product):
+                self.product, self.products = product, 0
 
-            def __matmul__(self, v):
+            def __call__(self, x, out):
                 self.products += 1
-                return self.a @ v
+                return self.product(x, out)
 
-        def counting_cg(a, b, solve, *args):
-            counting = Counting(a)
+        def counting_cg(product, b, solve, *args):
+            counting = Counting(product)
             solved = cg(counting, b, solve, *args)
             if solved is not None:
                 calls.append((counting.products, solved[1]))
@@ -620,8 +651,8 @@ class TestStaleLuSolve:
             lus.append(kwargs)
             return splu(a, **kwargs)
 
-        def counting_cg(a, b, solve, *args):
-            solved = cg(a, b, solve, *args)
+        def counting_cg(product, b, solve, *args):
+            solved = cg(product, b, solve, *args)
             on_lu.append(is_lu(solve) and solved is not None)
             return solved
 
@@ -767,6 +798,21 @@ class TestPreyMatrix:
                     assert np.array_equal(stepper._a @ y, ref @ y)
                 assert abs(a_norm - row_sum_norm(ref)) <= 4.0 * eps * row_sum_norm(ref)
 
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_dia_matvec_is_scipys_product(self, n):
+        # dia_matvec calls SciPy's private kernel: a SciPy that renames it or
+        # changes its arithmetic fails here.  NaN in out checks that it is
+        # zeroed first.
+        grid = build_grid(n, refuge_box=REFUGE_BOX)
+        stepper = _Stepper(make_params(), grid, 0.05)
+        x = np.random.default_rng(n).standard_normal(grid.n_cells)
+        rough = rough_u(grid, n)
+        for u in (rough, np.abs(rough)):
+            stepper._write_diagonals(u)
+            out = np.full(grid.n_cells, np.nan)
+            assert dia_matvec(stepper._a, x, out) is out
+            np.testing.assert_array_equal(out, stepper._a @ x)
+
     def test_factored_matrix_is_the_diagonals_csc_form(self, grid, monkeypatch):
         # the first step on a rough u, the refresh after a slow CG on its LU
         # and a fall-back on an indefinite matrix each refuse the DCT
@@ -778,8 +824,8 @@ class TestPreyMatrix:
             factored.append(a)
             return splu(a, **kwargs)
 
-        def counting(a, b, solve, *args):
-            solved = cg(a, b, solve, *args)
+        def counting(product, b, solve, *args):
+            solved = cg(product, b, solve, *args)
             attempts.append(("lu" if is_lu(solve) else "dct", solved and solved[1]))
             return solved
 
@@ -823,10 +869,10 @@ class TestPreyMatrix:
             frozen.append(u)
             return write(self, u)
 
-        def on_csc(a, b, solve, x0, a_norm, *max_iters):
+        def on_csc(product, b, solve, x0, a_norm, *max_iters):
             csc = self.bincount_build(grid, frozen[-1], dt)
             products.append(1)
-            return cg(csc, b, solve, x0, a_norm, *max_iters)
+            return cg(matvec(csc), b, solve, x0, a_norm, *max_iters)
 
         monkeypatch.setattr(_Stepper, "_write_diagonals", recording)
         monkeypatch.setattr(timestepping, "_preconditioned_cg", on_csc)
