@@ -1,7 +1,9 @@
 """Command-line entry points: analyze, trace, simulate, reproduce-fig1.
 
-All numeric output goes through round-trip decimal formatting, so rerunning
-any subcommand with the same config reproduces the files byte for byte.
+Runners only compute; ``_write`` alone writes their files, after the whole
+run, and ``main`` alone turns failures into exit codes.  All numeric output
+goes through round-trip decimal formatting, so rerunning any subcommand with
+the same config reproduces the files byte for byte.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ _RUNTIME_ERRORS = (
     SingularResponseError,
     EstimationError,
     ComparisonError,
+    OSError,  # a failed write
 )
 
 FIG1_LAMBDAS = (0.5, 1.0, 1.5)
@@ -45,10 +48,22 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
-def run_analyze(cfg: RunConfig, variants, quiet=False) -> None:
+def _write(cfg: RunConfig, files, svg, quiet) -> None:
+    """Write each ``(name, header, rows, footer)`` CSV and, if the config asks
+    for SVG, the ``(name, panels)`` chart ``svg`` into the output directory."""
     out = Path(cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
+    for name, header, rows, footer in files:
+        write_csv(out / name, header, rows, footer)
+        _say(quiet, f"wrote {out / name}")
+    if svg is not None and cfg.output.emit_svg:
+        name, panels = svg
+        (out / name).write_text(svgplot.render(panels))
+        _say(quiet, f"wrote {out / name}")
+
+
+def run_analyze(cfg: RunConfig, variants, quiet=False):
+    files, rows = [], []
     for variant in variants:
         data = analytics.bifurcation_data(cfg.grid, replace(cfg.params, variant=variant))
         kern = data.kernel_profile
@@ -63,45 +78,23 @@ def run_analyze(cfg: RunConfig, variants, quiet=False) -> None:
                 integrate(kern, Region.ALL),
             )
         )
-        write_csv(
-            out / f"kernel_{variant.value}.csv",
-            ["x", "y", "value"],
-            zip(cfg.grid.cell_x, cfg.grid.cell_y, kern.values),
-        )
-    write_csv(
-        out / "analytics.csv",
-        [
-            "variant",
-            "mu_lambda",
-            "slope_at_onset",
-            "omega1_area",
-            "kernel_min",
-            "kernel_max",
-            "kernel_integral",
-        ],
-        rows,
-    )
-    _say(quiet, f"wrote {out / 'analytics.csv'}")
+        kernel_rows = zip(cfg.grid.cell_x, cfg.grid.cell_y, kern.values)
+        files.append((f"kernel_{variant.value}.csv", ["x", "y", "value"], kernel_rows, ()))
+    header = ["variant", "mu_lambda", "slope_at_onset", "omega1_area",
+              "kernel_min", "kernel_max", "kernel_integral"]
+    return files + [("analytics.csv", header, rows, ())], None
 
 
-def _write_branch(out: Path, branch: continuation.Branch) -> Path:
-    path = out / f"branch_{branch.variant.value}_lambda_{fmt(branch.params.lam)}.csv"
+def _branch_file(branch: continuation.Branch):
+    """The branch's CSV file entry: one row per point."""
+    name = f"branch_{branch.variant.value}_lambda_{fmt(branch.params.lam)}.csv"
     rows = (
-        (
-            branch.variant.value,
-            branch.params.lam,
-            p.mu,
-            p.avg_v,
-            p.max_v,
-            p.min_u,
-            p.newton_iters,
-        )
+        (branch.variant.value, branch.params.lam, p.mu, p.avg_v, p.max_v, p.min_u, p.newton_iters)
         for p in branch.points
     )
-    footer = [f"truncated: {branch.diagnostic}"] if branch.truncated else []
     header = ["variant", "lambda", "mu", "avg_v", "max_v", "min_u", "newton_iters"]
-    write_csv(path, header, rows, footer)
-    return path
+    footer = [f"truncated: {branch.diagnostic}"] if branch.truncated else []
+    return name, header, rows, footer
 
 
 def _branch_series(branch: continuation.Branch) -> svgplot.Series:
@@ -115,10 +108,10 @@ def _branch_series(branch: continuation.Branch) -> svgplot.Series:
     )
 
 
-def _run_branches(cfg: RunConfig, lambdas, variants, svg_name: str, quiet) -> None:
-    """Trace one branch per variant for each lambda; then write and plot them
-    all, so that a failed trace leaves no file behind."""
-    traced = []
+def _run_branches(cfg: RunConfig, lambdas, variants, svg_name: str, quiet):
+    """Trace one branch per variant for each lambda: their CSV files and the
+    chart with one panel per lambda."""
+    files, panels = [], []
     for lam in lambdas:
         branches = []
         for variant in variants:
@@ -127,6 +120,7 @@ def _run_branches(cfg: RunConfig, lambdas, variants, svg_name: str, quiet) -> No
                 cfg.grid, params, cfg.mu_min, cfg.continuation
             )
             branches.append(branch)
+            files.append(_branch_file(branch))
             _say(
                 quiet,
                 f"traced {variant.value} branch at lambda={lam:g}: "
@@ -134,13 +128,6 @@ def _run_branches(cfg: RunConfig, lambdas, variants, svg_name: str, quiet) -> No
                 f"[{branch.points[-1].mu:g}, {branch.points[0].mu:g}]"
                 + (f" (truncated: {branch.diagnostic})" if branch.truncated else ""),
             )
-        traced.append((lam, branches))
-    out = Path(cfg.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
-    panels = []
-    for lam, branches in traced:
-        for branch in branches:
-            _say(quiet, f"wrote {_write_branch(out, branch)}")
         panels.append(
             svgplot.Panel(
                 title=f"lambda = {fmt(lam)}",
@@ -149,18 +136,16 @@ def _run_branches(cfg: RunConfig, lambdas, variants, svg_name: str, quiet) -> No
                 y_label="average v",
             )
         )
-    if cfg.output.emit_svg:
-        (out / svg_name).write_text(svgplot.render(panels))
-        _say(quiet, f"wrote {out / svg_name}")
+    return files, (svg_name, panels)
 
 
-def run_trace(cfg: RunConfig, variants, quiet=False) -> None:
-    _run_branches(cfg, (cfg.params.lam,), variants, "trace.svg", quiet)
+def run_trace(cfg: RunConfig, variants, quiet=False):
+    return _run_branches(cfg, (cfg.params.lam,), variants, "trace.svg", quiet)
 
 
-def run_reproduce_fig1(cfg: RunConfig, variants, quiet=False) -> None:
+def run_reproduce_fig1(cfg: RunConfig, variants, quiet=False):
     paper = replace(cfg, params=replace(cfg.params, c=1.0, m=1.0))
-    _run_branches(paper, FIG1_LAMBDAS, variants, "fig1.svg", quiet)
+    return _run_branches(paper, FIG1_LAMBDAS, variants, "fig1.svg", quiet)
 
 
 def _sim_row(t: float, state: State, clamped_fraction: float):
@@ -178,8 +163,8 @@ def _sim_row(t: float, state: State, clamped_fraction: float):
     )
 
 
-def run_simulate(cfg: RunConfig, variants, quiet=False) -> None:
-    runs = []  # every run finishes before any file is written
+def run_simulate(cfg: RunConfig, variants, quiet=False):
+    files = []
     for variant in variants:
         params = replace(cfg.params, variant=variant)
         initial = State(
@@ -200,21 +185,14 @@ def run_simulate(cfg: RunConfig, variants, quiet=False) -> None:
         final, steady = timestepping.evolve_to_steady(
             params, initial, cfg.time, observer
         )
-        runs.append((variant, rows, steady))
-    out = Path(cfg.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
-    for variant, rows, steady in runs:
-        path = out / f"simulate_{variant.value}.csv"
-        write_csv(
-            path,
-            ["t", "avg_u", "avg_v", "min_u", "max_v", "clamped_fraction"],
-            rows,
-            [f"steady: {fmt(steady)}"],
-        )
-        _say(quiet, f"wrote {path} (steady={steady})")
+        _say(quiet, f"simulated {variant.value} run: steady={steady}")
+        header = ["t", "avg_u", "avg_v", "min_u", "max_v", "clamped_fraction"]
+        files.append((f"simulate_{variant.value}.csv", header, rows, [f"steady: {fmt(steady)}"]))
+    return files, None
 
 
-# subcommand -> (help, runner)
+# subcommand -> (help, runner); a runner returns its CSV file entries and its
+# chart, or None
 _COMMANDS = {
     "analyze": ("emit closed-form onset data (CSV)", run_analyze),
     "trace": ("trace the positive branch in mu (CSV, optional SVG)", run_trace),
@@ -250,8 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand: exit 0, or 2 for a bad config or parameter, 1 for a
-    failed computation, each with one ``error:`` line on stderr."""
+    """Run one subcommand and write its files: exit 0, or 2 for a config that
+    cannot be read or is invalid, 1 for a failed computation or a failed
+    write, each with one ``error:`` line on stderr."""
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
@@ -263,7 +242,8 @@ def main(argv=None) -> int:
             variants = (Diffusion.NONLINEAR, Diffusion.LINEAR)
         else:
             variants = (Diffusion(args.variant),)
-        _COMMANDS[args.command][1](cfg, variants, args.quiet)
+        files, svg = _COMMANDS[args.command][1](cfg, variants, args.quiet)
+        _write(cfg, files, svg, args.quiet)
     except _CONFIG_ERRORS + _RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, _CONFIG_ERRORS) else 1

@@ -35,9 +35,7 @@ from .geometry import (
     row_sum_norm, splu,
 )
 from .model import Diffusion, ModelParams, State, jacobian, residual
-from .newton import (
-    ZERO_THRESHOLD, NewtonOptions, SolutionClass, _damped_newton, classify_state, newton_solve,
-)
+from .newton import ZERO_THRESHOLD, NewtonOptions, _damped_newton, newton_solve
 
 # avg_v of the first seed point, relative to lam; the second sits at twice that
 SEED_AVG_V = 1e-3
@@ -345,10 +343,11 @@ def trace_branch(
         nonlocal dead_zone
         y, iters, history, _ = corrector.solve(y0, c_row, c_mu, c_target)
         ok = history[-1] <= opts.corrector.tol_residual
-        cls, _ = classify_state(State.unpack(grid, y[:-1]))
         u = y[:n_cells]
         dead_zone = float(np.mean(u < ZERO_THRESHOLD)) if ok and u.min() < ZERO_THRESHOLD else None
-        return (y, iters) if ok and cls is SolutionClass.POSITIVE else None
+        # classify_state's POSITIVE test, on the packed vector
+        positive = u.min() > ZERO_THRESHOLD and y[n_cells:-1].min() > ZERO_THRESHOLD
+        return (y, iters) if ok and positive else None
 
     def make_point(y, iters):
         v_ext = y[n_cells:-1]

@@ -219,6 +219,8 @@ def build_grid(
         n_y = n_x
     if n_x < 4 or n_y < 4:
         raise GeometryError(f"grid needs at least 4 cells per axis, got {n_x}x{n_y}")
+    if n_x * n_y > np.iinfo(np.intp).max:
+        raise GeometryError(f"a {n_x}x{n_y} grid has too many cells to index")
     length_x, length_y = float(domain_length[0]), float(domain_length[1])
     if length_x <= 0.0 or length_y <= 0.0:
         raise GeometryError("domain side lengths must be positive")

@@ -1,10 +1,11 @@
-"""Deterministic CSV emission: round-trip floats, '#'-prefixed comment lines."""
+"""Deterministic CSV emission: round-trip floats, '#'-prefixed comment lines.
+
+A failed write raises the ``OSError`` as is; the CLI reports it with exit 1.
+"""
 
 from __future__ import annotations
 
 from pathlib import Path
-
-from .errors import NumericalError
 
 
 def fmt(value) -> str:
@@ -24,7 +25,4 @@ def write_csv(path, header, rows, footer_comments=()) -> None:
         lines.append(",".join(fmt(v) if not isinstance(v, str) else v for v in row))
     for comment in footer_comments:
         lines.append(f"# {comment}")
-    try:
-        path.write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise NumericalError(f"could not write {path}: {exc}") from exc
+    path.write_text("\n".join(lines) + "\n")

@@ -9,7 +9,7 @@ import pytest
 from refugebif import continuation, timestepping
 from refugebif.cli import main
 from refugebif.config import load_config, parse_config
-from refugebif.errors import ConfigError, NumericalError, ParameterError, StepError
+from refugebif.errors import ConfigError, GeometryError, NumericalError, ParameterError, StepError
 
 from conftest import REFUGE_BOX
 
@@ -105,6 +105,16 @@ class TestConfig:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    def test_grid_too_large_to_index_exits_2(self, tmp_path, capsys):
+        # 10**60 cells overflow numpy's index type, so nothing is allocated
+        cfg = write_config(tmp_path, geometry={"n": 10**30})
+        with pytest.raises(GeometryError, match="too many cells"):
+            load_config(cfg)
+        assert main(["analyze", "--config", str(cfg), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_zero_initial_densities_accepted(self):
         initial = parse_config({"time": {"initial_u": 0.0, "initial_v": 0.0}}).initial
         assert (initial.u, initial.v) == (0.0, 0.0)
@@ -121,6 +131,36 @@ class TestConfig:
         p.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(p)
+
+
+@pytest.mark.parametrize(
+    "case,code",
+    [
+        ("config is a directory", 2),
+        ("config is not UTF-8", 2),
+        ("out is a file", 1),
+        ("out is under a file", 1),
+        ("trace.svg is a directory", 1),
+    ],
+)
+def test_unusable_path_exits_with_one_error_line(tmp_path, capsys, case, code):
+    cfg, out = write_config(tmp_path), tmp_path / "out"
+    if case == "config is a directory":
+        cfg = tmp_path / "cfg.d"
+        cfg.mkdir()
+    elif case == "config is not UTF-8":
+        cfg.write_bytes('{"output": {"directory": "caf\xe9"}}'.encode("latin-1"))
+    elif case == "out is a file":
+        out.write_text("")
+    elif case == "out is under a file":
+        out = cfg / "out"
+    else:
+        (out / "trace.svg").mkdir(parents=True)
+    assert main(["trace", "--config", str(cfg), "--out", str(out), "--quiet"]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    if code == 2:
+        assert not out.exists()
 
 
 class TestAnalyze:

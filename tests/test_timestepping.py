@@ -301,22 +301,23 @@ class TestEvolveToSteady:
         )
         assert np.array_equal(states[0].pack(), via_step.pack())
 
-    def test_small_mu_steady_state_matches_the_traced_branch(self, refuge_grid_16):
+    @pytest.mark.parametrize("n,mu", [(16, 0.004), (32, 0.005)])
+    def test_small_mu_steady_state_matches_the_traced_branch(self, n, mu):
         # The integrator as an independent route to a branch state at small
         # mu.  One Newton correction d of the IMEX end state gives the end
         # state's error to first order, so its exterior mean of v predicts
         # the avg_v gap; twice that bound leaves room for a second-order
         # remainder as large as the first-order term.
-        grid = refuge_grid_16
-        p = make_params(mu=0.004)
+        grid = build_grid(n, refuge_box=REFUGE_BOX)
+        p = make_params(mu=mu)
         with pytest.warns(RuntimeWarning, match="clamped"):
             final, steady = evolve_to_steady(
                 p, positive_state(grid, 0.5, 0.1),
                 TimeOptions(dt=0.05, t_max=3000.0, steady_tol=1e-8),
             )
         assert steady
-        branch = trace_branch(grid, p, 0.004)
-        on_branch, report = solve_at_mu(branch, 0.004)
+        branch = trace_branch(grid, p, mu)
+        on_branch, report = solve_at_mu(branch, mu)
         assert report.converged
         d = spsolve(jacobian(p, final).matrix.tocsc(), -residual(p, final))
         ext = grid.exterior_cells
