@@ -38,6 +38,7 @@ _RUNTIME_ERRORS = (
     EstimationError,
     ComparisonError,
     OSError,  # a failed write
+    MemoryError,  # a grid or a factor too large for the memory
 )
 
 FIG1_LAMBDAS = (0.5, 1.0, 1.5)
@@ -245,7 +246,7 @@ def main(argv=None) -> int:
         files, svg = _COMMANDS[args.command][1](cfg, variants, args.quiet)
         _write(cfg, files, svg, args.quiet)
     except _CONFIG_ERRORS + _RUNTIME_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2 if isinstance(exc, _CONFIG_ERRORS) else 1
     return 0
 

@@ -9,13 +9,13 @@ The constant matrices, I/dt - L for the linear prey and I/dt - d L_ext for
 the predator, are solved by geometry.shifted_laplacian_solver and never
 factored.  The nonlinear prey matrix A = I/dt - div(ubar grad .) is kept as
 five diagonals, rewritten in place each step.  A x = b is solved by
-conjugate gradients with a kept preconditioner, from an extrapolation of
-the last prey states, and x is accepted at the round-off floor of a direct
-solve.  A refresh tries the DCT solve at the mean u first (Concus & Golub
-1973) and factors A only when CG with it needs more than REFRESH_ITERS
-iterations or is refused.  No acceptance within MAX_CG_ITERS, or a
-curvature that is not positive and finite, refreshes at once and, failing
-that, solves directly with the LU of A.  evolve_to_steady drops the
+conjugate gradients with a kept preconditioner, from the least-squares
+quartic through the last 8 prey states one step ahead, and x is accepted
+at the round-off floor of a direct solve.  A refresh tries the DCT solve at
+the mean u first (Concus & Golub 1973) and factors A only when CG with it
+needs more than REFRESH_ITERS iterations or is refused.  No acceptance
+within MAX_CG_ITERS, or a curvature that is not positive and finite,
+refreshes at once and, failing that, solves directly with the LU of A.  evolve_to_steady drops the
 preconditioner before it returns (geometry.release_free_memory).  README's
 "Numerical design notes" give the formulas and the references.
 """
@@ -47,6 +47,22 @@ MAX_CG_ITERS = 12
 # a prey right-hand side smaller than this in the max-norm is scaled up for
 # CG, whose products of two such vectors would underflow past about 1e-154
 TINY_RHS = 2.0**-500
+# the prey CG starts from the least-squares polynomial of degree min(m - 1, 4)
+# through the last m <= START_WINDOW prey states, evaluated one step ahead:
+# row m - 1 holds its weights, newest state first
+START_WINDOW = 8
+START_WEIGHTS = np.array([
+    [1, 0, 0, 0, 0, 0, 0, 0],
+    [2, -1, 0, 0, 0, 0, 0, 0],
+    [3, -3, 1, 0, 0, 0, 0, 0],
+    [4, -6, 4, -1, 0, 0, 0, 0],
+    [5, -10, 10, -5, 1, 0, 0, 0],
+    [25, -35, 10, 20, -19, 5, 0, 0],
+    [25, -25, -5, 15, 7, -15, 5, 0],
+    [175, -125, -75, 45, 81, 5, -85, 35],
+]) / np.array([1, 1, 1, 1, 1, 6, 7, 56])[:, None]
+# each row rolled to each head row of the ring of prey states
+_START_AT_HEAD = np.array([[np.roll(w, h) for h in range(START_WINDOW)] for w in START_WEIGHTS])
 
 
 @dataclass(frozen=True)
@@ -153,7 +169,8 @@ class _Stepper:
             self.prey_solve = shifted_laplacian_solver(grid, 1.0 / dt, 1.0)
         else:
             self.prey_solve = None
-            self._kept = ()  # the prey states u of the last two steps, newest first
+            # the last prey states u, written in place, newest at row -steps % START_WINDOW
+            self._ring, self._steps = np.zeros((START_WINDOW, grid.n_cells)), 0
             # A = I/dt - div(ubar grad .) as its diagonals at offsets (-n_x, -1, 0,
             # 1, n_x): row k holds A[j - offset_k, j] at column j, so -c on the
             # north, east, west and south face of cell j, and 0 off the grid
@@ -196,14 +213,11 @@ class _Stepper:
         """Solve the nonlinear prey system by CG with the kept preconditioner,
         refreshing it, by the DCT first and an LU if that is refused."""
         a_norm = self._write_diagonals(u)
-        kept, self._kept = self._kept, (u, *self._kept[:1])
-        x0 = self._x0
-        if len(kept) == 2:  # 3 (u - u_1) + u_2
-            np.add(np.multiply(np.subtract(u, kept[0], out=x0), 3.0, out=x0), kept[1], out=x0)
-        elif kept:  # 2 u - u_1
-            np.subtract(np.multiply(u, 2.0, out=x0), kept[0], out=x0)
-        else:
-            x0 = u
+        self._steps += 1
+        head = -self._steps % START_WINDOW
+        self._ring[head] = u
+        weights = _START_AT_HEAD[min(self._steps, START_WINDOW) - 1, head]
+        x0 = np.dot(weights, self._ring, out=self._x0)
         if self._precond is not None:
             solved = _preconditioned_cg(self._matvec, rhs, self._precond, x0, a_norm)
             if solved is not None:
@@ -276,11 +290,14 @@ def evolve_to_steady(
 
     Hitting t_max first is reported through the flag, not an error.  The
     optional ``observer(step_index, t, state, clamped_cells)`` is called
-    after every step.  Runs clamping more than 0.1% of cell-steps are
-    flagged with a RuntimeWarning.  A run from u > 0 stops, not steady and
-    with a RuntimeWarning, at the first step whose clamp leaves u = 0 in
-    every cell: the sign of a ``dt`` above the state's bound (TimeOptions);
-    at n = 16 and mu = 1e-3, ``dt = 2`` does it.
+    after every step.  Every negative u or v is set to 0, but counted as a
+    clamped cell only below -ROUNDOFF_FACTOR * eps times its field's
+    max-norm, as a negative at round-off is no undershoot; runs clamping
+    more than 0.1% of cell-steps are flagged with a RuntimeWarning.  A run
+    from u > 0 stops, not steady and with a RuntimeWarning, at the first
+    step whose clamp leaves u = 0 in every cell: the sign of a ``dt`` above
+    the state's bound (TimeOptions); at n = 16 and mu = 1e-3, ``dt = 2``
+    does it.
     """
     opts = opts or TimeOptions()
     grid = initial.grid
@@ -292,15 +309,17 @@ def evolve_to_steady(
     n_slots = grid.n_cells + grid.n_exterior
     diff = np.empty(grid.n_cells)  # the change of u, then of v, over a step
     clamped_total = 0
+    roundoff = ROUNDOFF_FACTOR * np.finfo(float).eps
     steady = False
     t = 0.0
     for k in range(1, n_steps + 1):
         u_new, v_new = stepper.advance(u, v)
         clamped = 0
-        if opts.clamp_negative and min(u_new.min(), v_new.min()) < 0.0:
-            clamped = int((u_new < 0.0).sum() + (v_new < 0.0).sum())
-            np.maximum(u_new, 0.0, out=u_new)
-            np.maximum(v_new, 0.0, out=v_new)
+        zeroed = opts.clamp_negative and min(u_new.min(), v_new.min()) < 0.0
+        if zeroed:
+            for x in (u_new, v_new):
+                clamped += int((x < -roundoff * max(x.max(), -x.min())).sum())
+                np.maximum(x, 0.0, out=x)
         clamped_total += clamped
         t = k * opts.dt
 
@@ -311,7 +330,7 @@ def evolve_to_steady(
         u, v = u_new, v_new
         if observer is not None:
             observer(k, t, _state(grid, u, v), clamped)
-        if clamped and had_prey and not u.any():
+        if zeroed and had_prey and not u.any():
             break  # with u = 0 no later step moves u
         if change < opts.steady_tol:
             steady = True

@@ -115,6 +115,26 @@ class TestConfig:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "exc,line",
+        [
+            (MemoryError("Unable to allocate 74.5 GiB"), "error: Unable to allocate 74.5 GiB"),
+            (MemoryError(), "error: MemoryError"),
+        ],
+    )
+    def test_grid_too_large_for_memory_exits_1(self, tmp_path, capsys, monkeypatch, exc, line):
+        # a grid numpy can index but the machine cannot hold fails in its
+        # allocation; build_grid stands in for it by raising, so that
+        # nothing large is allocated
+        def too_large(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("refugebif.config.build_grid", too_large)
+        cfg = write_config(tmp_path, geometry={"n": 10**5})
+        assert main(["analyze", "--config", str(cfg), "--quiet"]) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not (tmp_path / "out").exists()
+
     def test_zero_initial_densities_accepted(self):
         initial = parse_config({"time": {"initial_u": 0.0, "initial_v": 0.0}}).initial
         assert (initial.u, initial.v) == (0.0, 0.0)

@@ -310,11 +310,10 @@ class TestEvolveToSteady:
         # remainder as large as the first-order term.
         grid = build_grid(n, refuge_box=REFUGE_BOX)
         p = make_params(mu=mu)
-        with pytest.warns(RuntimeWarning, match="clamped"):
-            final, steady = evolve_to_steady(
-                p, positive_state(grid, 0.5, 0.1),
-                TimeOptions(dt=0.05, t_max=3000.0, steady_tol=1e-8),
-            )
+        final, steady = evolve_to_steady(
+            p, positive_state(grid, 0.5, 0.1),
+            TimeOptions(dt=0.05, t_max=3000.0, steady_tol=1e-8),
+        )
         assert steady
         branch = trace_branch(grid, p, mu)
         on_branch, report = solve_at_mu(branch, mu)
@@ -356,6 +355,25 @@ class TestEvolveToSteady:
                 final, steady = evolve_to_steady(p, init, opts)
             assert not [w for w in caught if "prey died out" in str(w.message)]
             assert steady and final.u.values.max() > 0.0
+
+    def test_roundoff_negatives_are_zeroed_but_not_counted(self, refuge_grid_16):
+        # in the dead zone at dt = 1 all but 276 of the 36,277 negatives the
+        # steps leave lie at round-off, within 1.9e-15 times their field's
+        # max-norm of 0: each is set to 0, but only the 276 below
+        # -ROUNDOFF_FACTOR eps times it count as clamped, 0.012% of the
+        # run's cell-steps, and the run raises no warning
+        p, init = make_params(mu=1e-3), positive_state(refuge_grid_16, 0.5, 0.1)
+        clamped, negatives = [], []
+
+        def observer(k, t, state, c):
+            clamped.append(c)
+            negatives.append(min(state.u.values.min(), state.v.values.min()) < 0.0)
+
+        final, steady = evolve_to_steady(
+            p, init, TimeOptions(dt=1.0, t_max=2e4, steady_tol=1e-8), observer
+        )
+        assert steady and len(clamped) == 4582 and not any(negatives)
+        assert sum(clamped) == 276
 
 
 class TestStaleLuSolve:
@@ -481,9 +499,10 @@ class TestStaleLuSolve:
         assert np.array_equal(x0, start)
 
     def test_solutions_are_not_kept_buffers(self, refuge_grid_16):
-        # CG's products and updates, and the stepper's extrapolated start,
-        # go through kept arrays; a returned x is none of them, so later
-        # solves on the same stepper leave it as it was
+        # CG's products and updates, the stepper's ring of past prey states
+        # and its extrapolated start go through kept arrays; a returned x
+        # and the caller's u are none of them, so later solves on the same
+        # stepper leave both as they were
         grid, dt = refuge_grid_16, 0.05
         stepper = _Stepper(make_params(), grid, dt)
         u = 0.8 + 0.02 * np.cos(2 * np.pi * grid.cell_x) * np.cos(np.pi * grid.cell_y)
@@ -493,11 +512,15 @@ class TestStaleLuSolve:
         x, _ = _preconditioned_cg(stepper._matvec, rhs, solve, u, a_norm)
         solved = [(x, x.copy())]
         _preconditioned_cg(stepper._matvec, 2.0 * rhs, solve, x, a_norm)
-        for k in range(4):  # the starts u, then 2 u - u_1, then 3 (u - u_1) + u_2
-            x = stepper._solve_prey((1.0 + 0.01 * k) * u, rhs)
-            assert x is not stepper._x0
+        states = []
+        for k in range(2 * timestepping.START_WINDOW + 1):  # the ring wraps twice
+            u_k = (1.0 + 0.01 * k) * u
+            x = stepper._solve_prey(u_k, rhs)
+            for kept in (stepper._ring, stepper._x0):
+                assert not np.shares_memory(kept, x) and not np.shares_memory(kept, u_k)
             solved.append((x, x.copy()))
-        for x, copy in solved:
+            states.append((u_k, u_k.copy()))
+        for x, copy in solved + states:
             assert np.array_equal(x, copy)
 
     def test_both_preconditioners_accept_only_at_the_roundoff_floor(
@@ -709,6 +732,48 @@ class TestStaleLuSolve:
         )
         assert len(steps) == 200
         return len(lus)
+
+    def test_start_weights_fit_the_last_states(self):
+        # row m - 1 evaluates one step ahead the least-squares polynomial of
+        # degree min(m - 1, 4) through m states: exact on such polynomials,
+        # the extrapolations u, 2 u - u_1 and 3 u - 3 u_1 + u_2 for m <= 3,
+        # and (175, -125, -75, 45, 81, 5, -85, 35) / 56 for 8 states
+        weights = timestepping.START_WEIGHTS
+        assert weights.shape == (8, 8)
+        times = 1.0 - np.arange(9)  # one step ahead, then the 8 states, newest first
+        for m, row in enumerate(weights, start=1):
+            assert not row[m:].any()
+            for degree in range(min(m - 1, 4) + 1):
+                coeffs = np.random.default_rng(degree).standard_normal(degree + 1)
+                at = np.polynomial.polynomial.polyval(times, coeffs)
+                assert abs(row @ at[1:] - at[0]) <= 1e-13 * np.abs(at).max()
+            # the value one step ahead of the least-squares fit to each state alone
+            fit = np.vander(times[1 : m + 1], min(m - 1, 4) + 1)
+            assert np.allclose(row[:m], np.linalg.lstsq(fit, np.eye(m))[0].sum(axis=0),
+                               rtol=0.0, atol=1e-12)
+        expected = [[1.0], [2.0, -1.0], [3.0, -3.0, 1.0]]
+        for row, exact in zip(weights, expected):
+            assert np.array_equal(row[: len(exact)], exact)
+        assert np.array_equal(weights[-1], np.array([175, -125, -75, 45, 81, 5, -85, 35]) / 56)
+
+    def test_fitted_start_takes_few_preconditioner_solves(self, refuge_grid_16, monkeypatch):
+        # from the quadratic extrapolation of the last three states CG took
+        # 3,823 preconditioner solves on this run (2.18 per step); from the
+        # quartic fitted through the last eight, 2,033 (1.16)
+        cg, solves = timestepping._preconditioned_cg, []
+
+        def counting_cg(product, b, solve, *args):
+            return cg(product, b, lambda r: solves.append(1) or solve(r), *args)
+
+        monkeypatch.setattr(timestepping, "_preconditioned_cg", counting_cg)
+        steps = []
+        _, steady = evolve_to_steady(
+            make_params(), positive_state(refuge_grid_16, u0=0.5, v0=0.1),
+            TimeOptions(dt=0.05, t_max=500.0, steady_tol=1e-8),
+            lambda k, t, s, c: steps.append(k),
+        )
+        assert steady and len(steps) == 1751
+        assert len(solves) <= 1.3 * len(steps)
 
     @pytest.mark.parametrize("dt", [1e-3, 0.05])
     def test_few_factorizations_per_step(self, refuge_grid_16, monkeypatch, dt):
